@@ -60,7 +60,7 @@ def write_report(name: str, text: str) -> Path:
 
 
 def write_perf_record(name: str, payload: Dict) -> Path:
-    """Persist a machine-readable perf record as ``BENCH_<name>.json``.
+    """Persist a machine-readable perf record as ``results/BENCH_<name>.json``.
 
     The payload is wrapped with the seed and platform metadata so the
     perf trajectory stays comparable across future PRs.
@@ -76,9 +76,6 @@ def write_perf_record(name: str, payload: Dict) -> Path:
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     path = OUTPUT_DIR / f"BENCH_{name}.json"
     path.write_text(text)
-    # Mirror at the repo root so the perf trajectory is easy to diff
-    # across PRs without digging into benchmarks/results.
-    (Path(__file__).resolve().parent.parent / f"BENCH_{name}.json").write_text(text)
     return path
 
 

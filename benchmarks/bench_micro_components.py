@@ -19,7 +19,7 @@ from repro.jobs.model_zoo import get_model
 from repro.jobs.throughput import ThroughputModel
 from repro.prediction.gpr import GaussianProcessRegression
 
-from tests._core_helpers import make_context, make_jobs
+from tests._core_helpers import make_context, make_jobs, with_throughput_table
 
 
 def _busy_context(num_jobs=12, num_gpus=32):
@@ -52,7 +52,7 @@ class TestScoring:
 
 class TestEvolutionStep:
     def test_single_iteration(self, benchmark):
-        ctx = _busy_context()
+        ctx = with_throughput_table(_busy_context())
         search = EvolutionarySearch(EvolutionConfig(population_size=16), seed=0)
         search.step(ctx)  # warm up / initialise the population
 

@@ -12,8 +12,6 @@ nodes.  This subpackage provides the simulated equivalent:
 * :mod:`repro.cluster.placement` — locality/fragmentation measures and
   worker-packing helpers used by the reorder operator.
 * :mod:`repro.cluster.events` — the discrete-event queue.
-* :mod:`repro.cluster.interference` — a co-location interference model
-  motivating the one-job-per-GPU constraint (Eq. 4).
 """
 
 from repro.cluster.devices import GPUSpec, NodeSpec, V100, LONGHORN_NODE
@@ -26,7 +24,6 @@ from repro.cluster.placement import (
     pack_workers,
     placement_quality,
 )
-from repro.cluster.interference import InterferenceModel
 
 __all__ = [
     "GPUSpec",
@@ -44,5 +41,4 @@ __all__ = [
     "nodes_spanned",
     "pack_workers",
     "placement_quality",
-    "InterferenceModel",
 ]

@@ -6,12 +6,18 @@
   probability-sampling selection of Algorithm 1.
 * :mod:`repro.core.batch_limit` — the dynamic batch-size limit ``R_j``
   with the start / resume / scale-up / scale-down policies of §3.3.2.
-* :mod:`repro.core.operators` — the four evolution operators of §3.2.2:
-  refresh, uniform crossover, uniform mutation and reorder.
-* :mod:`repro.core.population` — population initialisation and bookkeeping.
+* :mod:`repro.core.operators` — the four evolution operators of §3.2.2
+  (refresh, uniform crossover, uniform mutation and reorder), one
+  schedule at a time: the readable reference the tests compare the
+  search against.
+* :mod:`repro.core.population` — the matching scalar population
+  initialisation and bookkeeping.
 * :mod:`repro.core.evolution` — the iterative evolutionary search (Fig. 5).
-* :mod:`repro.core.evolution_batched` — the batched genome-matrix form
-  of the operators (bit-identical to the scalar reference).
+* :mod:`repro.core.evolution_batched` — the search's generation engine:
+  the operators as array ops over the genome matrix, bit-identical to
+  the scalar reference.
+* :mod:`repro.core.scoring_incremental` — the score inputs that engine
+  keeps up to date across generations.
 * :mod:`repro.core.ones_scheduler` — the ONES scheduler wired into the
   common scheduler interface.
 """
@@ -33,13 +39,7 @@ from repro.core.operators import (
 )
 from repro.core.population import Population
 from repro.core.evolution import EvolutionConfig, EvolutionEngine, EvolutionarySearch
-from repro.core.evolution_batched import (
-    GenerationResult,
-    fill_idle_population,
-    refresh_population,
-    reorder_population,
-    run_generation,
-)
+from repro.core.evolution_batched import GenerationResult, run_generation
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 
 __all__ = [
@@ -62,9 +62,6 @@ __all__ = [
     "EvolutionEngine",
     "EvolutionarySearch",
     "GenerationResult",
-    "fill_idle_population",
-    "refresh_population",
-    "reorder_population",
     "run_generation",
     "ONESConfig",
     "ONESScheduler",

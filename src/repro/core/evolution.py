@@ -11,18 +11,13 @@ progress distributions) changes between invocations; the population is
 re-indexed onto the new roster and refreshed at the start of every
 iteration so stale candidates never survive unexamined.
 
-Two operator implementations drive the loop:
-
-* the **scalar reference** in :mod:`repro.core.operators` manipulates
-  one :class:`~repro.core.schedule.Schedule` at a time, and
-* the **batched engine** in :mod:`repro.core.evolution_batched` runs a
-  whole generation as array ops over the stacked ``(K, num_gpus)``
-  genome matrix, materialising a :class:`Schedule` only for the winner.
-
-``EvolutionConfig.batched_operators`` (default ``True``) selects the
-engine whenever the context carries a throughput table; both paths are
-bit-identical — same RNG stream, same genomes, same selection order —
-which ``tests/test_core_evolution_batched.py`` asserts differentially.
+Each generation runs through :func:`repro.core.evolution_batched.run_generation`
+over the stacked ``(K, num_gpus)`` genome matrix, with the score inputs
+maintained incrementally across generations
+(:mod:`repro.core.scoring_incremental`); a :class:`Schedule` is
+materialised only for the winner.  The scalar operators of
+:mod:`repro.core.operators` are the readable reference the test suites
+compare this engine against, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,16 +33,8 @@ from repro.core.evolution_batched import (
     run_generation,
 )
 from repro.core.scoring_incremental import IncrementalScoringEngine
-from repro.core.operators import (
-    EvolutionContext,
-    refresh,
-    reorder,
-    uniform_crossover,
-    uniform_mutation,
-)
-from repro.core.population import Population, initial_population
-from repro.core.schedule import Schedule, stack_genomes
-from repro.core.scoring import select_top_k
+from repro.core.operators import EvolutionContext
+from repro.core.schedule import Schedule
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int, check_probability
 
@@ -74,23 +61,6 @@ class EvolutionConfig:
         (the search is continuous; each event advances it a little).
     enable_crossover / enable_mutation / enable_reorder:
         Ablation switches for the operator-ablation benchmark.
-    batched_operators:
-        Run each generation through the batched genome-matrix engine
-        (:mod:`repro.core.evolution_batched`) instead of the scalar
-        per-candidate operators.  Requires the context to carry a
-        throughput table (the ONES scheduler always provides one);
-        contexts without one silently use the scalar reference.  Both
-        engines are bit-identical, so this flag only trades speed for
-        debuggability.
-    incremental_scoring:
-        Maintain the per-candidate score decomposition (GPU counts +
-        placement locality) incrementally across operators and
-        generations (:mod:`repro.core.scoring_incremental`) instead of
-        re-deriving it from the genome matrix every generation.  Only
-        affects the batched path; bit-identical to both other paths,
-        with an automatic full rebuild whenever the population, roster,
-        genome width or topology changes (fault masking, partition-view
-        swaps).  Off reproduces the PR 3 batched baseline exactly.
     """
 
     population_size: Optional[int] = None
@@ -100,8 +70,6 @@ class EvolutionConfig:
     enable_crossover: bool = True
     enable_mutation: bool = True
     enable_reorder: bool = True
-    batched_operators: bool = True
-    incremental_scoring: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size is not None:
@@ -127,19 +95,19 @@ class EvolutionConfig:
 class EvolutionarySearch:
     """Maintains the population across scheduler invocations.
 
-    In batched mode the population lives as a ``(K, num_gpus)`` genome
-    matrix between events; :class:`~repro.core.schedule.Schedule`
-    objects are materialised only for the per-event winner (through the
-    validation-skipping :meth:`Schedule.from_validated_genome`) and on
-    demand through the :attr:`population` view.
+    The population lives as a ``(K, num_gpus)`` genome matrix between
+    events (:attr:`genomes`, indexed over the roster of the last step);
+    :class:`~repro.core.schedule.Schedule` objects are materialised only
+    for the per-event winner, through the validation-skipping
+    :meth:`Schedule.from_validated_genome`.  Every context must carry a
+    throughput table.
     """
 
     def __init__(self, config: Optional[EvolutionConfig] = None, seed: SeedLike = None) -> None:
         self.config = config or EvolutionConfig()
         self._rng = as_generator(seed)
-        self._members: Population = Population()
         self._genomes: Optional[np.ndarray] = None
-        self._genome_roster: Optional[Tuple[str, ...]] = None
+        self._roster: Optional[Tuple[str, ...]] = None
         self.best_candidate: Optional[Schedule] = None
         self.best_score: float = float("inf")
         self.iterations_run: int = 0
@@ -147,50 +115,23 @@ class EvolutionarySearch:
         #: call — the scheduler turns these into per-generation trace
         #: events (the search itself has no clock).
         self.last_iteration_scores: List[float] = []
-        #: Delta-scoring cache (used only when
-        #: ``config.incremental_scoring`` and the batched path run).
+        #: Delta-scoring cache carried across generations.
         self.scoring_engine = IncrementalScoringEngine()
-        #: Per-operator wall-clock accrued by the batched generation
-        #: loop (``evo_fill``/``evo_crossover``/``evo_mutation``/
+        #: Per-operator wall-clock accrued by the generation loop
+        #: (``evo_fill``/``evo_crossover``/``evo_mutation``/
         #: ``evo_selection`` + ``rescore_full``/``rescore_delta``);
         #: surfaced through ``ONESScheduler.profile_phases``.
         self.phase_seconds: Dict[str, float] = {}
 
-    # -- population views -----------------------------------------------------------------------
-
     @property
-    def population(self) -> Population:
-        """The current population as :class:`Schedule` objects.
-
-        In batched mode this materialises the genome matrix on demand
-        (cheap: the fast-path constructor skips re-validation) — the
-        returned :class:`Population` is a *detached view*, so mutating
-        it (``search.population.add(...)``) does not feed back into the
-        search; assign a whole :class:`Population` to the property
-        instead.  In scalar mode it is the live population object.
-        """
-        if self._genomes is not None:
-            roster = self._genome_roster or ()
-            return Population(
-                [Schedule.from_validated_genome(roster, row) for row in self._genomes]
-            )
-        return self._members
-
-    @population.setter
-    def population(self, value: Population) -> None:
-        self._members = value
-        self._genomes = None
-        self._genome_roster = None
+    def genomes(self) -> Optional[np.ndarray]:
+        """The current population as a genome matrix (``None`` before the first step)."""
+        return self._genomes
 
     @property
     def population_size(self) -> int:
-        """Current population size without materialising any Schedules."""
-        if self._genomes is not None:
-            return int(self._genomes.shape[0])
-        return len(self._members)
-
-    def _use_batched(self, ctx: EvolutionContext) -> bool:
-        return self.config.batched_operators and ctx.throughput_table is not None
+        """Current population size."""
+        return 0 if self._genomes is None else int(self._genomes.shape[0])
 
     # -- population lifecycle -------------------------------------------------------------------
 
@@ -206,42 +147,22 @@ class EvolutionarySearch:
         """
         if self._genomes is not None and self._genomes.shape[1] != ctx.num_gpus:
             self._genomes = None
-            self._genome_roster = None
-            # The genome width changed (fault masking / partition-view
-            # swap): the delta-scoring cache describes a cluster that no
-            # longer exists.  (prepare() would also notice via the
+            # The delta-scoring cache describes a cluster that no longer
+            # exists.  (prepare() would also notice via the
             # population-identity check; dropping it here is explicit.)
             self.scoring_engine.invalidate()
-        if (
-            len(self._members) > 0
-            and self._members.members[0].genome.shape[0] != ctx.num_gpus
-        ):
-            self._members = Population()
-        size = self.config.resolved_population_size(ctx.num_gpus)
-        if self._genomes is not None:
-            if self._genome_roster != ctx.roster:
-                genomes = reindex_genomes(self._genomes, self._genome_roster, ctx.roster)
-                if current is not None:
-                    reindexed = current.reindexed(ctx.roster).genome
-                    genomes = np.concatenate([genomes, reindexed[None, :]], axis=0)
-                self._genomes = genomes
-                self._genome_roster = ctx.roster
-            return
-        if len(self._members) == 0:
-            if self._use_batched(ctx):
-                self._genomes = initial_population_genomes(
-                    ctx, size, current=current, seed=self._rng
-                )
-                self._genome_roster = ctx.roster
-            else:
-                self._members = initial_population(
-                    ctx, size, current=current, seed=self._rng
-                )
-            return
-        if self._members.members[0].roster != ctx.roster:
-            self._members = self._members.reindexed(ctx.roster)
+        if self._genomes is None:
+            size = self.config.resolved_population_size(ctx.num_gpus)
+            self._genomes = initial_population_genomes(
+                ctx, size, current=current, seed=self._rng
+            )
+        elif self._roster != ctx.roster:
+            genomes = reindex_genomes(self._genomes, self._roster, ctx.roster)
             if current is not None:
-                self._members.add(current.reindexed(ctx.roster))
+                reindexed = current.reindexed(ctx.roster).genome
+                genomes = np.concatenate([genomes, reindexed[None, :]], axis=0)
+            self._genomes = genomes
+        self._roster = ctx.roster
 
     # -- one iteration ------------------------------------------------------------------------------
 
@@ -254,89 +175,24 @@ class EvolutionarySearch:
         best: Optional[Tuple[Schedule, float]] = None
         self.last_iteration_scores = []
         for _ in range(self.config.iterations_per_invocation):
-            best = self._iterate(ctx)
+            result = run_generation(
+                self._genomes,
+                ctx,
+                self.config,
+                engine=self.scoring_engine,
+                phases=self.phase_seconds,
+            )
+            self._genomes = result.population
+            best = (
+                Schedule.from_validated_genome(ctx.roster, result.best_genome),
+                result.best_score,
+            )
             self.iterations_run += 1
-            self.last_iteration_scores.append(float(best[1]))
+            self.last_iteration_scores.append(float(result.best_score))
         assert best is not None
         self.best_candidate, self.best_score = best
         return best
 
-    def _iterate(self, ctx: EvolutionContext) -> Tuple[Schedule, float]:
-        if self._use_batched(ctx):
-            return self._iterate_batched(ctx)
-        return self._iterate_scalar(ctx)
-
-    def _iterate_batched(self, ctx: EvolutionContext) -> Tuple[Schedule, float]:
-        """One generation on the genome matrix (no intermediate Schedules)."""
-        if self._genomes is None:
-            # The population was built by the scalar path (e.g. a
-            # table-less event earlier); lift it onto the matrix once.
-            self._genomes = stack_genomes(self._members.members)
-            self._genome_roster = self._members.members[0].roster
-            self._members = Population()
-        result = run_generation(
-            self._genomes,
-            ctx,
-            self.config,
-            engine=self.scoring_engine,
-            phases=self.phase_seconds,
-        )
-        self._genomes = result.population
-        self._genome_roster = ctx.roster
-        best = Schedule.from_validated_genome(ctx.roster, result.best_genome)
-        return best, result.best_score
-
-    def _iterate_scalar(self, ctx: EvolutionContext) -> Tuple[Schedule, float]:
-        """The scalar reference generation (one Schedule at a time)."""
-        size = self.config.resolved_population_size(ctx.num_gpus)
-        # Refresh every member against the live job status.
-        refreshed = [refresh(member, ctx) for member in self.population]
-        candidates: List[Schedule] = list(refreshed)
-
-        # Uniform crossover of randomly chosen parent pairs.
-        if self.config.enable_crossover and len(refreshed) >= 2:
-            pairs = self.config.resolved_crossover_pairs(size)
-            for _ in range(pairs):
-                i, j = ctx.rng.choice(len(refreshed), size=2, replace=False)
-                child_a, child_b = uniform_crossover(
-                    refreshed[int(i)], refreshed[int(j)], rng=ctx.rng
-                )
-                candidates.append(fill_or_keep(child_a, ctx))
-                candidates.append(fill_or_keep(child_b, ctx))
-
-        # Uniform mutation of randomly chosen members.
-        if self.config.enable_mutation:
-            for _ in range(size):
-                idx = int(ctx.rng.integers(0, len(refreshed)))
-                candidates.append(
-                    uniform_mutation(refreshed[idx], ctx, self.config.mutation_rate)
-                )
-
-        # Reorder for locality.
-        if self.config.enable_reorder:
-            candidates = [reorder(candidate) for candidate in candidates]
-
-        # Selection: keep the best K by probability sampling (Alg. 1);
-        # with a throughput table the whole pool is scored in one batch.
-        survivors = select_top_k(
-            candidates,
-            ctx.jobs,
-            ctx.distributions,
-            ctx.throughput_fn,
-            k=size,
-            rng=ctx.rng,
-            table=ctx.throughput_table,
-        )
-        self.population = Population([schedule for schedule, _ in survivors])
-        return survivors[0]
-
 
 #: Alias used by docs and callers that think of this as "the engine".
 EvolutionEngine = EvolutionarySearch
-
-
-def fill_or_keep(candidate: Schedule, ctx: EvolutionContext) -> Schedule:
-    """Repair helper: crossover children may leave GPUs idle; fill them."""
-    from repro.core.operators import fill_idle_gpus
-
-    return fill_idle_gpus(candidate, ctx)

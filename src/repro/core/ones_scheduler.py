@@ -8,12 +8,9 @@ interface:
 * a :class:`~repro.core.batch_limit.BatchSizeLimiter` applying the
   start / resume / scale-up / scale-down policies to ``R_j`` (§3.3.2),
 * an :class:`~repro.core.evolution.EvolutionarySearch` over schedule
-  genomes scored with the SRUF objective (Eq. 8 / Algorithm 1) — by
-  default the whole generation loop runs through the batched
-  genome-matrix engine (:mod:`repro.core.evolution_batched`), which is
-  bit-identical to the scalar operators; set
-  ``EvolutionConfig(batched_operators=False)`` to run the readable
-  scalar reference instead,
+  genomes scored with the SRUF objective (Eq. 8 / Algorithm 1), each
+  generation running as array ops over the genome matrix
+  (:mod:`repro.core.evolution_batched`),
 * elastic re-configuration (Fig. 11) so deploying a new candidate costs
   about a second per affected job rather than tens of seconds.
 
@@ -439,11 +436,10 @@ class ONESScheduler(SchedulerBase):
         the run was configured with ``collect_profile=True``, which is
         how the GPR-refit share of a run becomes measurable.  The
         ``evo_*`` operator phases and the ``rescore_full`` /
-        ``rescore_delta`` attribution come from the batched generation
-        loop (see :func:`repro.core.evolution_batched.run_generation`),
-        so a ``--profile`` run shows exactly where a generation's
-        wall-clock goes and how much of it the incremental-scoring
-        cache absorbed.
+        ``rescore_delta`` attribution come from the generation loop
+        (see :func:`repro.core.evolution_batched.run_generation`), so a
+        ``--profile`` run shows exactly where a generation's wall-clock
+        goes and how much of it the delta-scoring cache absorbed.
         """
         phases = {
             "gpr_refit": self.predictor.refit_seconds,
@@ -488,11 +484,9 @@ class ONESScheduler(SchedulerBase):
 
         Numeric fields come from :meth:`metrics_registry` so the CLI,
         the service ``/metrics`` op and this summary can never drift;
-        only the non-numeric configuration flags are added by hand.
+        only the non-numeric configuration is added by hand.
         """
         summary: Dict[str, object] = {
-            "batched_operators": self.config.evolution.batched_operators,
-            "incremental_scoring": self.config.evolution.incremental_scoring,
             "refit_policy": self.config.predictor.refit_policy,
         }
         summary.update(self.metrics_registry().values())

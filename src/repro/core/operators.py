@@ -17,13 +17,14 @@
 All operators are pure: they take a :class:`Schedule` plus an
 :class:`EvolutionContext` and return new :class:`Schedule` objects.
 
-This module is the **scalar reference implementation**.  The production
-hot path is :mod:`repro.core.evolution_batched`, which runs the same
-operators as array ops over the stacked ``(K, num_gpus)`` genome matrix
-and is differentially tested to be move-for-move identical to the
-functions below (``tests/test_core_evolution_batched.py``); when
-changing an operator's semantics here, change its batched twin in the
-same commit and let the parity suite arbitrate.
+This module is the **scalar reference implementation**; the search
+itself uses only :class:`EvolutionContext` from here.  The evolutionary
+search runs the same operators as array ops over the stacked
+``(K, num_gpus)`` genome matrix (:mod:`repro.core.evolution_batched`),
+differentially tested to be move-for-move identical to the functions
+below (``tests/test_core_evolution_batched.py``); when changing an
+operator's semantics, change both in the same commit and let the parity
+suite arbitrate.
 """
 
 from __future__ import annotations

@@ -75,10 +75,10 @@ def initial_population(
     seeded into the population so the search can never regress below the
     status quo.
 
-    The batched engine builds ``G_0`` directly as a genome matrix
+    The evolutionary search builds ``G_0`` directly as a genome matrix
     (:func:`repro.core.evolution_batched.initial_population_genomes`)
-    with the exact same RNG draws; both initialisers are parity-tested
-    to produce identical populations.
+    with the exact same RNG draws; this scalar initialiser is the
+    reference the tests compare it against.
     """
     check_positive_int(size, "size")
     rng = as_generator(seed if seed is not None else ctx.rng)

@@ -68,7 +68,7 @@ class Schedule:
         """Fast-path constructor for genomes the engine produced itself.
 
         Skips the :meth:`__post_init__` validation (shape, roster
-        uniqueness, value bounds) — the batched evolution engine only
+        uniqueness, value bounds) — the evolution engine only
         ever emits genomes derived from already-validated ones, and
         re-validating every intermediate candidate showed up in
         profiles.  The genome is still defensively copied and frozen, so

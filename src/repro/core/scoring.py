@@ -11,29 +11,27 @@ job's predictive Beta distribution.  Algorithm 1 draws one ρ per job,
 scores every candidate with those shared samples, and picks the smallest
 score; selection keeps the best K candidates the same way.
 
-Two implementations are provided:
+Three entry points evaluate Eq. 8:
 
 * the **scalar reference** (:func:`candidate_score` /
   :func:`score_candidates`) evaluates one candidate at a time through an
-  arbitrary ``(job, schedule) -> samples/s`` callable, and
-* the **vectorised engine** (:func:`score_population`) stacks the whole
-  population's genomes into a ``(K, num_gpus)`` matrix, derives every
-  per-candidate per-job GPU count with a single ``bincount``, gathers
-  throughputs from a :class:`~repro.jobs.throughput.ThroughputTable`,
-  and evaluates Eq. 8 for all K candidates in a handful of NumPy
-  expressions.  Given the same progress samples and the same throughput
-  source, both paths produce bit-identical scores (the parity tests
-  assert exact equality).
+  arbitrary ``(job, schedule) -> samples/s`` callable;
+* :func:`score_population` stacks a list of schedules into a
+  ``(K, num_gpus)`` genome matrix, derives every per-candidate per-job
+  GPU count with a single ``bincount``, gathers throughputs from a
+  :class:`~repro.jobs.throughput.ThroughputTable`, and evaluates all K
+  candidates in a handful of NumPy expressions (the scalar selection
+  :func:`select_top_k` uses it whenever it is given a table);
+* :func:`score_count_matrix` is that evaluation from precomputed counts
+  and locality flags.  The evolutionary search calls it through
+  :func:`repro.core.scoring_incremental.score_decomposition`, fed with
+  the score inputs it keeps up to date across generations.
 
-A third layer builds on the vectorised engine:
-:mod:`repro.core.scoring_incremental` caches the *progress-independent*
-score inputs (the per-candidate GPU-count matrix and locality flags that
-:func:`score_count_matrix` consumes) across generations and maintains
-them through the evolution operators, so each generation only pays for
-the candidates it actually changed.  ``score_count_matrix`` is therefore
-a shared contract: its float expression must not be refactored (FP
-addition is non-associative; all three layers pin bit-identical scores
-against it).
+Given the same progress samples and the same throughput source, all
+three produce bit-identical scores (the parity tests assert exact
+equality).  ``score_count_matrix`` is therefore a shared contract: its
+float expression must not be refactored (FP addition is
+non-associative).
 """
 
 from __future__ import annotations
@@ -235,7 +233,7 @@ def score_count_matrix(
 
     ``crosses_nodes`` carries per-(candidate, job) placement locality;
     ``None`` assumes canonical packed placements.  This is the scoring
-    entry point of the batched evolution engine's selection step
+    entry point of the search's selection step
     (:func:`repro.core.evolution_batched.run_generation`), which already
     holds counts and crossings for its de-duplicated candidate pool.
     """

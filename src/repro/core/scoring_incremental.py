@@ -1,34 +1,29 @@
 """Incremental delta-scoring: stop re-deriving the population every generation.
 
-PR 1 vectorised Eq. 8, PR 3 batched the operators; what remained is that
-every generation still *re-derives the scoring inputs from scratch* —
-the ``(K, num_jobs)`` GPU-count matrix, the per-(candidate, job)
-server-locality flags, and the greedy fill's per-round node-set
-prefixes — even though one generation changes only a small fraction of
-each genome.  This module caches those progress-independent inputs as a
-:class:`ScoreDecomposition` and keeps them *incrementally maintained*
-through every operator, so a generation touches only the (candidate,
-job) cells whose genome entries actually changed:
+One generation changes only a small fraction of each genome, so the
+evolutionary search does not re-derive its scoring inputs from scratch
+every generation.  This module caches those progress-independent inputs
+as a :class:`ScoreDecomposition` and keeps them *incrementally
+maintained* through every operator, so a generation touches only the
+(candidate, job) cells whose genome entries actually changed:
 
 * ``counts[k, j]`` — GPUs candidate ``k`` gives roster job ``j``
-  (the ``c_j`` of Eq. 8; previously one global ``bincount`` per use),
+  (the ``c_j`` of Eq. 8),
 * ``crosses[k, j]`` — whether that placement spans more than one
-  server (selects the locality plane of the throughput table;
-  previously a ``(K, num_jobs, num_nodes)`` presence reduction),
+  server (selects the locality plane of the throughput table),
 * ``sole_node[k, j]`` — the single occupied server when the placement
   is non-crossing (``-1`` otherwise), which is what lets the greedy
   fill decide in O(1) per cell whether a grown placement starts
-  crossing, replacing the per-round 3-D node-set prefix cumsum that
-  dominated the PR 3 profile.
+  crossing, instead of tracking per-round node-set prefixes.
 
 The Eq. 8 *score* itself is still evaluated fresh every generation —
 Algorithm 1 draws new progress samples ρ_j each time, so the weights
 change — but it is evaluated straight off the cached decomposition
 (:func:`score_decomposition`), through the very same
-:func:`~repro.core.scoring.score_count_matrix` expression the batched
-engine uses.  That is the parity contract: **identical counts and
-crossings in, identical floats out**, so the incremental path is
-bit-for-bit the batched path, which is bit-for-bit the scalar path.
+:func:`~repro.core.scoring.score_count_matrix` expression
+:func:`~repro.core.scoring.score_population` uses.  That is the parity
+contract: **identical counts and crossings in, identical floats out**,
+so the search is bit-for-bit the scalar reference path.
 
 Cache lifecycle (:class:`IncrementalScoringEngine`)
 ---------------------------------------------------
@@ -39,8 +34,8 @@ same population array object (identity — any population reset,
 re-index, or width change yields a new array), the same roster tuple,
 the same genome width, and the same GPU→server map.  Anything else —
 fault masking compacting the cluster, a partition-view swap inside
-:class:`~repro.core.partitioned.HierarchicalONESScheduler`, a
-scalar-path population lift — fails the check and triggers one full
+:class:`~repro.core.partitioned.HierarchicalONESScheduler`, a roster
+re-index — fails the check and triggers one full
 vectorised rebuild (:func:`build_decomposition`), attributed to the
 ``rescore_full`` profiling phase; steady-state generations take the
 ``rescore_delta`` path.  Throughput-table churn is tracked through
@@ -67,17 +62,19 @@ heterogeneity plane), keep the decomposition discipline:
    :func:`reorder_decomposed` (fall back to ``rebuild_rows`` if no
    closed form exists — correctness never depends on the fast path).
    Mutation/shrink updates live in
-   :func:`repro.core.evolution_batched` next to the operators.
+   :mod:`repro.core.evolution_batched` next to the operators.
 3. **Consume it** in :func:`score_decomposition` by extending
    :func:`~repro.core.scoring.score_count_matrix` — *never* refactor
    the existing expression (floating-point addition is not
    associative; the parity suites pin the exact evaluation order).
 4. **Pin parity**: extend ``tests/test_core_scoring_incremental.py``'s
    fuzz loop, which asserts ``decomposition == build_decomposition``
-   after every operator and incremental == batched == scalar
-   trajectories bit-for-bit.  A term that cannot pass that suite
-   should ship behind ``EvolutionConfig.incremental_scoring=False``
-   until it can.
+   after every operator and that trajectories with the delta cache
+   equal trajectories whose cache is rebuilt every generation,
+   bit-for-bit; the scalar reference in :mod:`repro.core.scoring`
+   must gain the same term, and ``tests/test_core_evolution_batched.py``
+   pins the search against it.  A term that cannot pass both suites
+   does not ship.
 """
 
 from __future__ import annotations
@@ -243,7 +240,8 @@ def score_decomposition(
     A thin alias of :func:`~repro.core.scoring.score_count_matrix` fed
     the cached counts/crossings — deliberately *not* a reimplementation,
     so the floating-point evaluation order (and hence every bit of every
-    score) is shared with the batched and scalar paths.
+    score) is shared with :func:`~repro.core.scoring.score_population`
+    and the scalar reference.
     """
     return score_count_matrix(
         decomp.counts, roster, jobs, progress, table, decomp.crosses
@@ -263,10 +261,10 @@ def fill_idle_decomposed(
     """Greedy idle-GPU fill maintaining the decomposition move-by-move.
 
     Move-for-move identical to
-    :func:`repro.core.evolution_batched.fill_idle_population` (same
-    table lookups, same utilisation deltas, same tie-breaking), but the
-    per-round ``(active, max_idle, num_nodes)`` node-set prefix — the
-    single hottest array in the PR 3 profile — collapses to an
+    :func:`repro.core.operators.fill_idle_gpus` applied per row (same
+    table lookups, same utilisation deltas, same tie-breaking), with
+    every candidate advancing in lockstep rounds.  Locality needs no
+    ``(active, max_idle, num_nodes)`` node-set prefix, only an
     ``(active, max_idle)`` *span* prefix: because every round grabs a
     prefix of the row's ascending idle list, a grown placement crosses
     servers iff it already crossed, or the grabbed slots span servers
@@ -341,9 +339,9 @@ def fill_idle_decomposed(
             | ((take >= 1) & (counts_a > 0) & ~crosses_a & (sole_a != q0[:, None]))
         )
 
-        # Identical lookups to the non-incremental fill: idle jobs and
-        # masked-out entries look up count 0 (prefilled, zero model
-        # calls), so lazily-filled table entries match exactly.
+        # Idle jobs and masked-out entries look up count 0 (prefilled,
+        # zero model calls), so lazily-filled table entries match the
+        # scalar fill's exactly.
         before_counts = np.where(eligible & (counts_a > 0), counts_a, 0)
         after_counts = np.where(eligible, counts_a + take, 0)
         thr_before = table.lookup(before_counts, crosses_a)
@@ -404,9 +402,8 @@ def reorder_decomposed(
     """Batched reorder (Fig. 10) with an analytic decomposition update.
 
     Genome output is bit-identical to
-    :func:`repro.core.evolution_batched.reorder_population`, computed
-    via a scatter-min of first-occurrence positions instead of the
-    ``(K, num_gpus, num_values)`` one-hot.  Reordering never changes
+    :func:`repro.core.operators.reorder` applied per row, computed via
+    a scatter-min of first-occurrence positions.  Reordering never changes
     ``counts``, but it *packs* each job contiguously, so on a
     monotone GPU→server map the crossing flag reduces to "first and
     last GPU of the packed run live on different servers"; when the map

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.schedule import Schedule
-from tests._core_helpers import make_context, make_jobs
+from tests._core_helpers import make_context, make_jobs, with_throughput_table
 
 
 class TestEvolutionConfig:
@@ -38,7 +38,7 @@ class TestEvolutionarySearch:
         for i, job in enumerate(jobs.values()):
             job.start_running(0.0, [i], [64])
             job.advance(1000 * (i + 1), 5.0)
-        return make_context(jobs, num_gpus=num_gpus)
+        return with_throughput_table(make_context(jobs, num_gpus=num_gpus))
 
     def test_step_returns_candidate_and_score(self):
         ctx = self._context_with_progress()
@@ -47,7 +47,16 @@ class TestEvolutionarySearch:
         assert isinstance(best, Schedule)
         assert np.isfinite(score)
         assert search.best_candidate is best
-        assert len(search.population) <= 6
+        assert search.genomes.shape == (search.population_size, 8)
+        assert search.population_size <= 6
+
+    def test_search_requires_throughput_table(self):
+        jobs = make_jobs(3)
+        ctx = make_context(jobs, num_gpus=8)
+        assert ctx.throughput_table is None
+        search = EvolutionarySearch(EvolutionConfig(population_size=4), seed=1)
+        with pytest.raises(ValueError, match="throughput_table"):
+            search.step(ctx)
 
     def test_population_persists_across_steps(self):
         ctx = self._context_with_progress()
@@ -62,7 +71,7 @@ class TestEvolutionarySearch:
         search = EvolutionarySearch(EvolutionConfig(population_size=4), seed=1)
         search.step(ctx)
         smaller = {k: v for k, v in ctx.jobs.items() if k != "job-2"}
-        ctx2 = make_context(smaller, num_gpus=8)
+        ctx2 = with_throughput_table(make_context(smaller, num_gpus=8))
         best, _ = search.step(ctx2)
         assert "job-2" not in best.placed_jobs()
 

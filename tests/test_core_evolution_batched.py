@@ -1,13 +1,20 @@
-"""Differential parity: the batched evolution engine vs the scalar reference.
+"""Differential parity: the evolution engine vs the scalar reference.
 
-The batched operators (:mod:`repro.core.evolution_batched`) must be
+The generation engine of the search (:mod:`repro.core.evolution_batched`
+on top of :mod:`repro.core.scoring_incremental`) must be
 *bit-compatible* with the scalar operators of
-:mod:`repro.core.operators` / :mod:`repro.core.evolution`: identical
-genomes out of every operator, identical RNG consumption, identical
-scores and selection order per generation, and identical full
-simulation trajectories — across randomised job mixes, capacities and
-seeds, including never-started jobs and zero-throughput (``inf`` /
-``nan`` utilisation) corners.
+:mod:`repro.core.operators` / :mod:`repro.core.population`, which exist
+as the oracle: identical genomes out of every operator, identical RNG
+consumption, identical scores and selection order per generation, and
+identical full simulation trajectories — across randomised job mixes,
+capacities and seeds, including never-started jobs and zero-throughput
+(``inf`` / ``nan`` utilisation) corners.
+
+Search- and simulation-level cases run the oracle through the real
+:class:`~repro.core.evolution.EvolutionarySearch` with its generation
+and initialisation functions swapped for the scalar ones
+(:func:`tests._core_helpers.scalar_oracle`), so the population bookkeeping around them is
+shared and only the operators differ.
 """
 
 from dataclasses import replace
@@ -18,12 +25,11 @@ import pytest
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.evolution_batched import (
-    fill_idle_population,
-    refresh_population,
+    _desired_vector,
+    _refresh_decomposed,
+    _remaining_vector,
     reindex_genomes,
-    reorder_population,
     run_generation,
-    unique_rows,
 )
 from repro.core.operators import (
     fill_idle_gpus,
@@ -32,21 +38,25 @@ from repro.core.operators import (
     uniform_crossover,
     uniform_mutation,
 )
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.core.schedule import IDLE, Schedule, stack_genomes, unique_schedules
-from repro.core.scoring import select_top_k
+from repro.core.ones_scheduler import ONESScheduler
+from repro.core.schedule import IDLE, Schedule
+from repro.core.scoring_incremental import (
+    build_decomposition,
+    fill_idle_decomposed,
+    reorder_decomposed,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import generate_trace, run_single
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.workload.trace import TraceConfig
-from tests._core_helpers import make_context, make_jobs
+from tests._core_helpers import make_context, make_jobs, scalar_generation, scalar_oracle
 
 
 def _table_workload(num_gpus, num_jobs, seed, never_started=(), running_fraction=0.8):
     """A randomised cluster snapshot plus a factory for table-backed contexts.
 
     The factory builds a fresh :class:`ThroughputTable` and RNG per call
-    so the scalar and batched paths can be driven from identical state.
+    so the scalar and production paths can be driven from identical state.
     """
     jobs = make_jobs(num_jobs)
     rng = np.random.default_rng(seed)
@@ -81,6 +91,33 @@ def _random_genomes(roster, num_gpus, rows, seed, idle_fraction=0.35):
     return genomes
 
 
+def _decomposition(genomes, ctx):
+    node_of = np.asarray(ctx.throughput_table.node_of, dtype=np.int64)
+    return build_decomposition(genomes, len(ctx.roster), node_of)
+
+
+def _refresh(genomes, ctx):
+    """The engine's refresh over a whole genome matrix."""
+    return _refresh_decomposed(
+        genomes,
+        ctx,
+        _decomposition(genomes, ctx),
+        _desired_vector(ctx),
+        _remaining_vector(ctx),
+    )
+
+
+def _fill(genomes, ctx):
+    """The engine's greedy idle-GPU fill over a whole genome matrix."""
+    return fill_idle_decomposed(
+        genomes,
+        ctx,
+        _decomposition(genomes, ctx),
+        _desired_vector(ctx),
+        _remaining_vector(ctx),
+    )
+
+
 CASES = [(8, 3, 0), (8, 5, 1), (16, 7, 2), (16, 12, 3), (32, 20, 4)]
 
 
@@ -98,8 +135,7 @@ def test_refresh_bit_identical(num_gpus, num_jobs, seed):
             for g in genomes
         ]
     )
-    batched = refresh_population(genomes, fresh_ctx(7))
-    assert np.array_equal(scalar, batched)
+    assert np.array_equal(scalar, _refresh(genomes, fresh_ctx(7)))
 
 
 @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
@@ -112,12 +148,11 @@ def test_fill_idle_gpus_bit_identical(num_gpus, num_jobs, seed):
             for g in genomes
         ]
     )
-    batched = fill_idle_population(genomes, fresh_ctx(3))
-    assert np.array_equal(scalar, batched)
+    assert np.array_equal(scalar, _fill(genomes, fresh_ctx(3)))
 
 
 def test_fill_parity_on_zero_throughput_curves():
-    """inf/nan utilisation deltas: the batched argmin must reproduce the
+    """inf/nan utilisation deltas: the lockstep argmin must reproduce the
     scalar scan's first-strictly-smaller tie-breaking exactly."""
     jobs = make_jobs(3)
     for i, job in enumerate(jobs.values()):
@@ -133,7 +168,7 @@ def test_fill_parity_on_zero_throughput_curves():
     table = ThroughputTable.from_matrix(roster, matrix)
     base = make_context(jobs, num_gpus=num_gpus)
     ctx_scalar = replace(base, throughput_fn=None, throughput_table=table)
-    ctx_batched = replace(base, throughput_fn=None, throughput_table=table)
+    ctx_engine = replace(base, throughput_fn=None, throughput_table=table)
     genomes = _random_genomes(roster, num_gpus, 16, seed=9, idle_fraction=0.6)
     scalar = np.stack(
         [
@@ -141,8 +176,7 @@ def test_fill_parity_on_zero_throughput_curves():
             for g in genomes
         ]
     )
-    batched = fill_idle_population(genomes, ctx_batched)
-    assert np.array_equal(scalar, batched)
+    assert np.array_equal(scalar, _fill(genomes, ctx_engine))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -152,7 +186,9 @@ def test_reorder_bit_identical(seed):
     scalar = np.stack(
         [reorder(Schedule(roster=roster, genome=g)).genome for g in genomes]
     )
-    assert np.array_equal(scalar, reorder_population(genomes))
+    node_of = np.arange(17, dtype=np.int64) // 4
+    decomp = build_decomposition(genomes, len(roster), node_of)
+    assert np.array_equal(scalar, reorder_decomposed(genomes, decomp, True))
 
 
 def test_reindex_matches_schedule_reindexed():
@@ -169,12 +205,10 @@ def test_reindex_matches_schedule_reindexed():
 
 
 def test_crossover_and_mutation_consume_identical_rng_stream():
-    """Per-pair/member draws in the batched loop replay the scalar calls."""
+    """Per-pair/member draws in the engine's loop replay the scalar calls."""
     num_gpus, num_jobs = 16, 6
     roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed=11)
-    genomes = refresh_population(
-        _random_genomes(roster, num_gpus, 8, seed=42), fresh_ctx(0)
-    )
+    genomes = _refresh(_random_genomes(roster, num_gpus, 8, seed=42), fresh_ctx(0))
     schedules = [Schedule(roster=roster, genome=g) for g in genomes]
 
     ctx_a, ctx_b = fresh_ctx(77), fresh_ctx(77)
@@ -190,64 +224,29 @@ def test_crossover_and_mutation_consume_identical_rng_stream():
         for _ in range(6)
     ]
 
-    batched_children = []
+    engine_children = []
     for _ in range(5):
         i, j = ctx_b.rng.choice(len(genomes), size=2, replace=False)
         mask = ctx_b.rng.integers(0, 2, size=num_gpus).astype(bool)
-        batched_children.append(np.where(mask, genomes[int(i)], genomes[int(j)]))
-        batched_children.append(np.where(mask, genomes[int(j)], genomes[int(i)]))
-    batched_mutants = []
+        engine_children.append(np.where(mask, genomes[int(i)], genomes[int(j)]))
+        engine_children.append(np.where(mask, genomes[int(j)], genomes[int(i)]))
+    engine_mutants = []
     for _ in range(6):
         member = int(ctx_b.rng.integers(0, len(genomes)))
         row = genomes[member]
         placed = np.unique(row[row != IDLE])
         coins = ctx_b.rng.random(placed.size)
         doomed = placed[coins < 0.4]
-        batched_mutants.append(np.where(np.isin(row, doomed), IDLE, row))
-    batched_mutants = fill_idle_population(np.stack(batched_mutants), ctx_b)
+        engine_mutants.append(np.where(np.isin(row, doomed), IDLE, row))
+    engine_mutants = _fill(np.stack(engine_mutants), ctx_b)
 
-    assert np.array_equal(np.stack(scalar_children), np.stack(batched_children))
-    assert np.array_equal(np.stack(scalar_mutants), batched_mutants)
+    assert np.array_equal(np.stack(scalar_children), np.stack(engine_children))
+    assert np.array_equal(np.stack(scalar_mutants), engine_mutants)
     # Both paths must leave the shared generator in the same state.
     assert ctx_a.rng.integers(2**31) == ctx_b.rng.integers(2**31)
 
 
 # --- generation-level parity ---------------------------------------------------------------------
-
-
-def _scalar_generation(genomes, ctx, config):
-    """The scalar `_iterate` body, returning (survivor matrix, scores, pool)."""
-    roster = ctx.roster
-    size = config.resolved_population_size(ctx.num_gpus)
-    refreshed = [refresh(Schedule(roster=roster, genome=g), ctx) for g in genomes]
-    candidates = list(refreshed)
-    if config.enable_crossover and len(refreshed) >= 2:
-        for _ in range(config.resolved_crossover_pairs(size)):
-            i, j = ctx.rng.choice(len(refreshed), size=2, replace=False)
-            child_a, child_b = uniform_crossover(
-                refreshed[int(i)], refreshed[int(j)], rng=ctx.rng
-            )
-            candidates.append(fill_idle_gpus(child_a, ctx))
-            candidates.append(fill_idle_gpus(child_b, ctx))
-    if config.enable_mutation:
-        for _ in range(size):
-            idx = int(ctx.rng.integers(0, len(refreshed)))
-            candidates.append(uniform_mutation(refreshed[idx], ctx, config.mutation_rate))
-    if config.enable_reorder:
-        candidates = [reorder(c) for c in candidates]
-    pool = unique_schedules(candidates)
-    survivors = select_top_k(
-        candidates,
-        ctx.jobs,
-        ctx.distributions,
-        ctx.throughput_fn,
-        k=size,
-        rng=ctx.rng,
-        table=ctx.throughput_table,
-    )
-    matrix = np.stack([s.genome for s, _ in survivors])
-    scores = np.array([score for _, score in survivors])
-    return matrix, scores, len(pool)
 
 
 @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
@@ -256,12 +255,12 @@ def test_generation_bit_identical(num_gpus, num_jobs, seed):
     never = ("job-2",) if seed % 2 else ()
     roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed, never)
     config = EvolutionConfig(population_size=min(num_gpus, 12))
-    genomes = refresh_population(
+    genomes = _refresh(
         _random_genomes(roster, num_gpus, config.population_size, seed + 300),
         fresh_ctx(0),
     )
     ctx_a, ctx_b = fresh_ctx(seed + 1), fresh_ctx(seed + 1)
-    scalar_matrix, scalar_scores, scalar_pool = _scalar_generation(
+    scalar_matrix, scalar_scores, scalar_pool = scalar_generation(
         genomes, ctx_a, config
     )
     result = run_generation(genomes, ctx_b, config)
@@ -286,42 +285,46 @@ def test_generation_bit_identical(num_gpus, num_jobs, seed):
 )
 def test_generation_parity_across_ablation_switches(config):
     roster, fresh_ctx = _table_workload(16, 6, seed=21)
-    genomes = refresh_population(_random_genomes(roster, 16, 8, 55), fresh_ctx(0))
+    genomes = _refresh(_random_genomes(roster, 16, 8, 55), fresh_ctx(0))
     ctx_a, ctx_b = fresh_ctx(13), fresh_ctx(13)
-    scalar_matrix, scalar_scores, _ = _scalar_generation(genomes, ctx_a, config)
+    scalar_matrix, scalar_scores, _ = scalar_generation(genomes, ctx_a, config)
     result = run_generation(genomes, ctx_b, config)
     assert np.array_equal(scalar_matrix, result.population)
     assert np.array_equal(scalar_scores, result.scores)
 
 
+# --- search-level parity -------------------------------------------------------------------------
+
+
 @pytest.mark.parametrize("num_gpus,num_jobs,seed", [(8, 4, 0), (16, 9, 1), (16, 14, 2)])
-def test_search_trajectories_identical_across_steps(num_gpus, num_jobs, seed):
+def test_search_trajectories_identical_across_steps(monkeypatch, num_gpus, num_jobs, seed):
     """Multi-step EvolutionarySearch: populations and winners stay equal."""
     roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
-    scalar = EvolutionarySearch(EvolutionConfig(batched_operators=False), seed=99)
-    batched = EvolutionarySearch(EvolutionConfig(batched_operators=True), seed=99)
+    oracle = EvolutionarySearch(EvolutionConfig(), seed=99)
+    search = EvolutionarySearch(EvolutionConfig(), seed=99)
     ctx_a, ctx_b = fresh_ctx(seed + 40), fresh_ctx(seed + 40)
     current = Schedule.empty(roster, num_gpus)
     for step in range(5):
-        best_a, score_a = scalar.step(ctx_a, current=current if step == 0 else None)
-        best_b, score_b = batched.step(ctx_b, current=current if step == 0 else None)
+        with scalar_oracle(monkeypatch):
+            best_a, score_a = oracle.step(ctx_a, current=current if step == 0 else None)
+        best_b, score_b = search.step(ctx_b, current=current if step == 0 else None)
         assert np.array_equal(best_a.genome, best_b.genome), f"step {step}"
         assert score_a == score_b
-        assert np.array_equal(
-            stack_genomes(scalar.population.members),
-            stack_genomes(batched.population.members),
-        )
+        assert np.array_equal(oracle.genomes, search.genomes)
+    # The production search carried its score cache across the steps.
+    assert search.scoring_engine.stats()["delta_generations"] == 4
 
 
-def test_roster_change_reindexes_identically():
-    """A job completing between events: both paths re-express and
+def test_roster_change_reindexes_identically(monkeypatch):
+    """A job completing between events: both searches re-express and
     re-seed the population the same way."""
     roster, fresh_ctx = _table_workload(16, 5, seed=31)
-    scalar = EvolutionarySearch(EvolutionConfig(batched_operators=False), seed=7)
-    batched = EvolutionarySearch(EvolutionConfig(batched_operators=True), seed=7)
+    oracle = EvolutionarySearch(EvolutionConfig(), seed=7)
+    search = EvolutionarySearch(EvolutionConfig(), seed=7)
     ctx_a, ctx_b = fresh_ctx(50), fresh_ctx(50)
-    scalar.step(ctx_a)
-    batched.step(ctx_b)
+    with scalar_oracle(monkeypatch):
+        oracle.step(ctx_a)
+    search.step(ctx_b)
 
     smaller_jobs = {j: job for j, job in ctx_a.jobs.items() if j != "job-3"}
     def shrunk(ctx):
@@ -340,82 +343,23 @@ def test_roster_change_reindexes_identically():
         )
 
     current = Schedule.empty(tuple(sorted(smaller_jobs)), 16)
-    best_a, score_a = scalar.step(shrunk(ctx_a), current=current)
-    best_b, score_b = batched.step(shrunk(ctx_b), current=current)
+    with scalar_oracle(monkeypatch):
+        best_a, score_a = oracle.step(shrunk(ctx_a), current=current)
+    best_b, score_b = search.step(shrunk(ctx_b), current=current)
     assert np.array_equal(best_a.genome, best_b.genome)
     assert score_a == score_b
     assert "job-3" not in best_b.placed_jobs()
-    assert np.array_equal(
-        stack_genomes(scalar.population.members),
-        stack_genomes(batched.population.members),
-    )
-
-
-def test_batched_flag_falls_back_to_scalar_without_table():
-    """Contexts carrying only a generic throughput_fn use the reference
-    operators; the flag changes nothing."""
-    jobs = make_jobs(4)
-    for i, job in enumerate(jobs.values()):
-        job.start_running(0.0, [i], [64])
-        job.advance(800 * (i + 1), 5.0)
-    ctx_a = make_context(jobs, num_gpus=8, seed=3)
-    ctx_b = make_context(jobs, num_gpus=8, seed=3)
-    assert ctx_a.throughput_table is None
-    on = EvolutionarySearch(EvolutionConfig(batched_operators=True), seed=5)
-    off = EvolutionarySearch(EvolutionConfig(batched_operators=False), seed=5)
-    best_on, score_on = on.step(ctx_a)
-    best_off, score_off = off.step(ctx_b)
-    assert np.array_equal(best_on.genome, best_off.genome)
-    assert score_on == score_off
-
-
-def test_mid_run_handoff_from_scalar_population_to_batched():
-    """A table-less event builds a scalar population; the next table-backed
-    event must lift it onto the genome matrix without changing the
-    trajectory (vs a search that stayed scalar throughout)."""
-    jobs = make_jobs(5)
-    for i, job in enumerate(jobs.values()):
-        job.start_running(0.0, [i], [64])
-        job.advance(900 * (i + 1), 5.0)
-    roster, fresh_ctx = _table_workload(8, 5, seed=61)
-
-    hybrid = EvolutionarySearch(EvolutionConfig(batched_operators=True), seed=5)
-    scalar = EvolutionarySearch(EvolutionConfig(batched_operators=False), seed=5)
-    # Event 1: no throughput table -> both run the scalar reference.
-    ctx_a = make_context(jobs, num_gpus=8, seed=3)
-    ctx_b = make_context(jobs, num_gpus=8, seed=3)
-    assert ctx_a.throughput_table is None
-    hybrid.step(ctx_a)
-    scalar.step(ctx_b)
-    # Event 2: table present -> hybrid lifts its population to the matrix.
-    ctx_c, ctx_d = fresh_ctx(19), fresh_ctx(19)
-    best_h, score_h = hybrid.step(ctx_c)
-    best_s, score_s = scalar.step(ctx_d)
-    assert np.array_equal(best_h.genome, best_s.genome)
-    assert score_h == score_s
-    assert np.array_equal(
-        stack_genomes(hybrid.population.members),
-        stack_genomes(scalar.population.members),
-    )
-
-
-def test_unique_rows_matches_unique_schedules():
-    roster = tuple(f"job-{i}" for i in range(4))
-    rng = np.random.default_rng(17)
-    genomes = rng.integers(-1, 4, size=(30, 6)).astype(np.int64)
-    genomes[10:20] = genomes[:10]  # force duplicates
-    scalar = unique_schedules([Schedule(roster=roster, genome=g) for g in genomes])
-    batched = unique_rows(genomes)
-    assert np.array_equal(np.stack([s.genome for s in scalar]), batched)
+    assert np.array_equal(oracle.genomes, search.genomes)
 
 
 # --- full-simulation parity ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("num_gpus,num_jobs", [(8, 6), (16, 10)])
-def test_full_simulation_trajectory_identical(num_gpus, num_jobs):
-    """ONES end to end: batched and scalar runs produce the same events,
-    schedules, per-job metrics and makespan over a multi-event trace."""
+def test_full_simulation_trajectory_identical(monkeypatch, num_gpus, num_jobs):
+    """ONES end to end: the production search and the scalar oracle produce
+    the same events, schedules, per-job metrics and makespan over a
+    multi-event trace."""
     config = ExperimentConfig(
         num_gpus=num_gpus,
         trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
@@ -423,17 +367,18 @@ def test_full_simulation_trajectory_identical(num_gpus, num_jobs):
     )
     trace = generate_trace(config)
 
-    def run(batched):
-        scheduler = ONESScheduler(
-            ONESConfig(evolution=EvolutionConfig(batched_operators=batched)),
-            seed=config.seed,
-        )
-        return run_single(scheduler, trace, config)
+    def run():
+        scheduler = ONESScheduler(seed=config.seed)
+        result = run_single(scheduler, trace, config)
+        return result, scheduler.search.scoring_engine.stats()["full_rebuilds"]
 
-    scalar_result = run(False)
-    batched_result = run(True)
-    assert scalar_result.completed == batched_result.completed
-    assert scalar_result.makespan == batched_result.makespan
-    assert scalar_result.events_processed == batched_result.events_processed
-    assert scalar_result.num_reconfigurations == batched_result.num_reconfigurations
-    assert scalar_result.incomplete == batched_result.incomplete
+    with scalar_oracle(monkeypatch):
+        scalar_result, oracle_rebuilds = run()
+    result, rebuilds = run()
+    # Only the production run went through the score cache.
+    assert oracle_rebuilds == 0 < rebuilds
+    assert scalar_result.completed == result.completed
+    assert scalar_result.makespan == result.makespan
+    assert scalar_result.events_processed == result.events_processed
+    assert scalar_result.num_reconfigurations == result.num_reconfigurations
+    assert scalar_result.incomplete == result.incomplete

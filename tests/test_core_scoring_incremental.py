@@ -1,9 +1,10 @@
-"""Differential fuzz suite for the incremental delta-scoring kernel.
+"""Differential fuzz suite for the delta-scoring cache.
 
-Parity contract (see :mod:`repro.core.scoring_incremental`): with
-``EvolutionConfig.incremental_scoring`` on, every generation — and hence
-every simulated trajectory — must be **bit-identical** to the batched
-baseline (itself pinned against the scalar operators by
+Parity contract (see :mod:`repro.core.scoring_incremental`): carrying
+the score decomposition across generations must leave every generation
+— and hence every simulated trajectory — **bit-identical** to
+rebuilding it from the genomes every generation (the search itself is
+pinned against the scalar operators by
 ``test_core_evolution_batched.py``).  This suite fuzzes that contract at
 three levels:
 
@@ -11,16 +12,17 @@ three levels:
   ``rescore_delta`` / ``rebuild_rows`` against fresh rebuilds over
   random genomes and random edit masks;
 * operator parity: ``fill_idle_decomposed`` / ``reorder_decomposed``
-  against the baseline batched operators from identical state, with the
+  against the scalar operators from identical state, with the
   maintained decomposition re-validated after every op;
 * trajectory parity: seeded multi-event simulations (unfaulted, faulted
   with node compaction mid-search, and hierarchical with partition-view
-  swaps) run incremental-on vs incremental-off vs scalar, compared on
-  the full per-job completion record.
+  swaps) run with the delta cache vs a cache rebuilt every generation,
+  compared on the full per-job completion record.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -28,13 +30,10 @@ import pytest
 
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig
-from repro.core.evolution_batched import (
-    fill_idle_population,
-    refresh_population,
-    reorder_population,
-    run_generation,
-)
+from repro.core.evolution_batched import run_generation
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
+from repro.core.operators import fill_idle_gpus, reorder
+from repro.core.schedule import Schedule
 from repro.core.scoring import population_gpu_counts, population_node_crossings
 from repro.core.scoring_incremental import (
     IncrementalScoringEngine,
@@ -50,7 +49,7 @@ from repro.faults import FaultConfig, FaultInjection, FaultKind
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
-from tests._core_helpers import make_context, make_jobs
+from tests._core_helpers import make_context, make_jobs, scalar_oracle
 
 IDLE = -1
 
@@ -166,13 +165,24 @@ class TestDecomposition:
 # --- operator parity -----------------------------------------------------------------------------
 
 
+def _scalar_reorder(roster, genomes):
+    return np.stack(
+        [reorder(Schedule(roster=roster, genome=g)).genome for g in genomes]
+    )
+
+
 class TestOperatorParity:
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_fill_decomposed_bit_identical(self, num_gpus, num_jobs, seed):
         roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
         genomes = _random_genomes(roster, num_gpus, 12, seed + 40, idle_fraction=0.5)
         ctx_a, ctx_b = fresh_ctx(9), fresh_ctx(9)
-        baseline = fill_idle_population(genomes, ctx_a)
+        baseline = np.stack(
+            [
+                fill_idle_gpus(Schedule(roster=roster, genome=g), ctx_a).genome
+                for g in genomes
+            ]
+        )
         desired, remaining = _desired_remaining(ctx_b)
         node_of = np.asarray(ctx_b.throughput_table.node_of, dtype=np.int64)
         work = genomes.copy()
@@ -189,7 +199,7 @@ class TestOperatorParity:
         decomp = build_decomposition(genomes, num_jobs, node_of)
         monotone = bool(np.all(np.diff(node_of) >= 0))
         reordered = reorder_decomposed(genomes.copy(), decomp, monotone)
-        np.testing.assert_array_equal(reorder_population(genomes), reordered)
+        np.testing.assert_array_equal(_scalar_reorder(roster, genomes), reordered)
         _assert_decomp_fresh(decomp, reordered, node_of)
 
     def test_reorder_decomposed_non_monotone_fallback(self):
@@ -201,22 +211,22 @@ class TestOperatorParity:
         genomes = _random_genomes(roster, 16, 12, 6)
         decomp = build_decomposition(genomes, 7, shuffled)
         reordered = reorder_decomposed(genomes.copy(), decomp, False)
-        np.testing.assert_array_equal(reorder_population(genomes), reordered)
+        np.testing.assert_array_equal(_scalar_reorder(roster, genomes), reordered)
         _assert_decomp_fresh(decomp, reordered, shuffled)
 
     @pytest.mark.parametrize("num_gpus,num_jobs,seed", CASES)
     def test_generation_bit_identical(self, num_gpus, num_jobs, seed):
-        """Chained generations: engine path == baseline path, including RNG."""
+        """Chained generations: a carried cache == a fresh cache per
+        generation, including RNG."""
         roster, fresh_ctx = _table_workload(num_gpus, num_jobs, seed)
         genomes = _random_genomes(roster, num_gpus, 10, seed + 60)
-        config_off = EvolutionConfig(incremental_scoring=False)
-        config_on = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         engine = IncrementalScoringEngine()
         ctx_a, ctx_b = fresh_ctx(11), fresh_ctx(11)
         base, inc = genomes.copy(), genomes.copy()
         for _ in range(4):
-            res_a = run_generation(base, ctx_a, config_off)
-            res_b = run_generation(inc, ctx_b, config_on, engine=engine)
+            res_a = run_generation(base, ctx_a, config, engine=IncrementalScoringEngine())
+            res_b = run_generation(inc, ctx_b, config, engine=engine)
             np.testing.assert_array_equal(res_a.population, res_b.population)
             np.testing.assert_array_equal(res_a.scores, res_b.scores)
             base, inc = res_a.population, res_b.population
@@ -238,7 +248,7 @@ class TestEngineLifecycle:
     def test_population_identity_invalidates(self):
         ctx, genomes = self._setup()
         engine = IncrementalScoringEngine()
-        config = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         res = run_generation(genomes, ctx, config, engine=engine)
         # A copied survivor matrix (different array object) forces a rebuild.
         run_generation(res.population.copy(), ctx, config, engine=engine)
@@ -247,7 +257,7 @@ class TestEngineLifecycle:
     def test_explicit_invalidate_forces_rebuild(self):
         ctx, genomes = self._setup()
         engine = IncrementalScoringEngine()
-        config = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         res = run_generation(genomes, ctx, config, engine=engine)
         engine.invalidate()
         run_generation(res.population, ctx, config, engine=engine)
@@ -260,7 +270,7 @@ class TestEngineLifecycle:
         roster, fresh_ctx = _table_workload(16, 7, 3)
         genomes = _random_genomes(roster, 16, 8, 73)
         engine = IncrementalScoringEngine()
-        config = EvolutionConfig(incremental_scoring=True)
+        config = EvolutionConfig()
         res = run_generation(genomes, fresh_ctx(5), config, engine=engine)
         run_generation(res.population, fresh_ctx(5), config, engine=engine)
         stats = engine.stats()
@@ -302,33 +312,52 @@ def _trajectory(scheduler, trace, config):
     return dict(result.completed), result.incomplete, result.makespan, result.events_processed
 
 
+@contextmanager
+def _cache_rebuilt_every_generation(monkeypatch):
+    """Inside the block every generation rebuilds its score decomposition."""
+    prepare = IncrementalScoringEngine.prepare
+
+    def rebuilding_prepare(self, genomes, roster, table):
+        self.invalidate()
+        return prepare(self, genomes, roster, table)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(IncrementalScoringEngine, "prepare", rebuilding_prepare)
+        yield
+
+
+def _assert_cache_parity(monkeypatch, make_scheduler, trace, config):
+    """The delta cache and a per-generation rebuild give one trajectory;
+    returns it."""
+    with _cache_rebuilt_every_generation(monkeypatch):
+        rebuilt_sched = make_scheduler()
+        rebuilt = _trajectory(rebuilt_sched, trace, config)
+    sched = make_scheduler()
+    trajectory = _trajectory(sched, trace, config)
+    assert trajectory == rebuilt
+    assert rebuilt_sched.describe_state()["scoring_delta_generations"] == 0
+    assert sched.describe_state()["scoring_delta_generations"] > 0
+    return trajectory
+
+
 class TestTrajectoryParity:
     @pytest.mark.parametrize("seed", [7, 19, 42])
-    def test_unfaulted_incremental_off_scalar(self, seed):
+    def test_unfaulted_incremental_off_scalar(self, monkeypatch, seed):
+        """Delta cache == cache rebuilt every generation == scalar oracle."""
         config = ExperimentConfig(
             num_gpus=16,
             trace=TraceConfig(num_jobs=10, arrival_rate=1.0 / 20.0),
             seed=seed,
         )
         trace = generate_trace(config)
-
-        def run(batched, incremental):
-            sched = ONESScheduler(
-                ONESConfig(
-                    evolution=EvolutionConfig(
-                        batched_operators=batched, incremental_scoring=incremental
-                    )
-                ),
-                seed=seed,
-            )
-            return _trajectory(sched, trace, config)
-
-        on = run(True, True)
-        assert on == run(True, False)
-        assert on == run(False, False)
+        trajectory = _assert_cache_parity(
+            monkeypatch, lambda: ONESScheduler(seed=seed), trace, config
+        )
+        with scalar_oracle(monkeypatch):
+            assert _trajectory(ONESScheduler(seed=seed), trace, config) == trajectory
 
     @pytest.mark.parametrize("seed", [5, 23])
-    def test_faulted_node_compaction_parity(self, seed):
+    def test_faulted_node_compaction_parity(self, monkeypatch, seed):
         """Node outage mid-search masks the cluster view — the engine must
         rebuild on the compacted genome width and stay bit-identical."""
         faults = FaultConfig(
@@ -344,37 +373,24 @@ class TestTrajectoryParity:
             seed=seed,
         )
         trace = generate_trace(config)
-
-        def run(incremental):
-            sched = ONESScheduler(
-                ONESConfig(
-                    evolution=EvolutionConfig(incremental_scoring=incremental)
-                ),
-                seed=seed,
-            )
-            return _trajectory(sched, trace, config)
-
-        assert run(True) == run(False)
+        _assert_cache_parity(
+            monkeypatch, lambda: ONESScheduler(seed=seed), trace, config
+        )
 
     @pytest.mark.parametrize("seed", [9, 31])
-    def test_hierarchical_partition_view_parity(self, seed):
+    def test_hierarchical_partition_view_parity(self, monkeypatch, seed):
         """ones-hier swaps per-partition views every event — each shard's
-        engine must invalidate/rebuild correctly and match non-incremental."""
+        engine must invalidate/rebuild correctly and match a cache
+        rebuilt every generation."""
         config = ExperimentConfig(
             num_gpus=32,
             trace=TraceConfig(num_jobs=12, arrival_rate=1.0 / 15.0),
             seed=seed,
         )
         trace = generate_trace(config)
-
-        def run(incremental):
-            sched = create_scheduler(
-                "ONES-hier", seed, partition_size=16, incremental_scoring=incremental
-            )
-            return _trajectory(sched, trace, config), sched
-
-        on, sched_on = run(True)
-        off, _ = run(False)
-        assert on == off
-        state = sched_on.describe_state()
-        assert state["scoring_delta_generations"] > 0
+        _assert_cache_parity(
+            monkeypatch,
+            lambda: create_scheduler("ONES-hier", seed, partition_size=16),
+            trace,
+            config,
+        )

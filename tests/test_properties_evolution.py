@@ -1,4 +1,4 @@
-"""Property-based invariants of the evolution operators (scalar & batched).
+"""Property-based invariants of the evolution operators (engine & scalar).
 
 Regardless of inputs, the operators must uphold the §3.2.2 contracts:
 
@@ -23,13 +23,18 @@ import pytest
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.evolution import EvolutionConfig
 from repro.core.evolution_batched import (
-    fill_idle_population,
-    refresh_population,
-    reorder_population,
+    _desired_vector,
+    _refresh_decomposed,
+    _remaining_vector,
     run_generation,
 )
 from repro.core.operators import fill_idle_gpus, refresh, reorder
 from repro.core.schedule import IDLE, Schedule
+from repro.core.scoring_incremental import (
+    build_decomposition,
+    fill_idle_decomposed,
+    reorder_decomposed,
+)
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from tests._core_helpers import make_context, make_jobs
 
@@ -76,6 +81,11 @@ def _desired(ctx):
     return np.array([ctx.desired_gpus(j) for j in ctx.roster], dtype=np.int64)
 
 
+def _decomposition(genomes, ctx):
+    node_of = np.asarray(ctx.throughput_table.node_of, dtype=np.int64)
+    return build_decomposition(genomes, len(ctx.roster), node_of)
+
+
 # --- invariant checkers (shared by Hypothesis and the fuzz fallback) -----------------------------
 
 
@@ -120,16 +130,21 @@ def run_all_invariants(num_nodes, num_jobs, seed, idle_fraction):
     ctx, genomes = _scenario(num_nodes, num_jobs, seed, idle_fraction)
     num_jobs = len(ctx.roster)
 
-    refreshed = refresh_population(genomes, ctx)
+    desired, remaining = _desired_vector(ctx), _remaining_vector(ctx)
+    refreshed = _refresh_decomposed(
+        genomes, ctx, _decomposition(genomes, ctx), desired, remaining
+    )
     check_genomes_well_formed(refreshed, num_jobs)
     check_respects_gpu_limits(refreshed, ctx)
     check_no_strandable_idle_gpu(refreshed, ctx)
 
-    filled = fill_idle_population(genomes, ctx)
+    filled = fill_idle_decomposed(
+        genomes, ctx, _decomposition(genomes, ctx), desired, remaining
+    )
     check_genomes_well_formed(filled, num_jobs)
     check_no_strandable_idle_gpu(filled, ctx)
 
-    reordered = reorder_population(refreshed)
+    reordered = reorder_decomposed(refreshed, _decomposition(refreshed, ctx), True)
     check_genomes_well_formed(reordered, num_jobs)
     check_reorder_contract(refreshed, reordered)
 
