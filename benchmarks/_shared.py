@@ -3,6 +3,10 @@
 The main comparison (Fig. 15 / Table 4) and the scalability sweep
 (Fig. 17 / 18) are expensive; several benchmark files consume the same
 runs, so they are computed once per pytest session and cached here.
+Both are :class:`~repro.experiments.spec.ExperimentSpec` grids run by a
+:class:`~repro.experiments.orchestrator.Runner` whose serial backend
+resolves scheduler names through :func:`scheduler_factories` (the DRL
+baseline carries a policy trained once per session).
 
 Scale is controlled with the ``REPRO_BENCH_SCALE`` environment variable:
 
@@ -19,15 +23,17 @@ import os
 import platform
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from repro.baselines.drl import DRLScheduler, PolicyNetwork, ReinforceTrainer
 from repro.baselines.optimus import OptimusScheduler
 from repro.baselines.tiresias import TiresiasScheduler
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ComparisonResult, run_comparison, run_scalability_sweep
+from repro.experiments.artifacts import SweepArtifact
+from repro.experiments.backends import SerialBackend
+from repro.experiments.orchestrator import Runner
+from repro.experiments.spec import ExperimentSpec
 from repro.workload.trace import TraceConfig
 
 #: Where benchmark reports are written (in addition to being printed).
@@ -97,27 +103,34 @@ def scheduler_factories() -> Dict[str, object]:
     }
 
 
-def main_experiment_config(num_gpus: int | None = None) -> ExperimentConfig:
-    """The Fig. 15 experiment configuration at the selected benchmark scale."""
-    return ExperimentConfig(
-        num_gpus=int(num_gpus or PARAMS["num_gpus"]),
-        trace=TraceConfig(num_jobs=int(PARAMS["num_jobs"]), arrival_rate=1.0 / 30.0),
+def _run(spec: ExperimentSpec) -> SweepArtifact:
+    """Run ``spec`` serially with the benchmark's scheduler factories."""
+    factories = scheduler_factories()
+    backend = SerialBackend(resolver=lambda name, seed, **options: factories[name](seed))
+    return Runner(backend=backend).run(spec)
+
+
+def _trace() -> TraceConfig:
+    return TraceConfig(num_jobs=int(PARAMS["num_jobs"]), arrival_rate=1.0 / 30.0)
+
+
+@lru_cache(maxsize=1)
+def main_comparison() -> SweepArtifact:
+    """The shared Fig. 15 / Table 4 run at ``PARAMS["num_gpus"]`` (cached per session)."""
+    return _run(ExperimentSpec.comparison(
+        schedulers=tuple(scheduler_factories()),
+        num_gpus=int(PARAMS["num_gpus"]),
         seed=SEED,
-        schedulers=scheduler_factories(),
-    )
+        trace=_trace(),
+    ))
 
 
 @lru_cache(maxsize=1)
-def main_comparison() -> ComparisonResult:
-    """The shared Fig. 15 / Table 4 run (cached per session)."""
-    return run_comparison(main_experiment_config())
-
-
-@lru_cache(maxsize=1)
-def scalability_sweep() -> Dict[int, ComparisonResult]:
-    """The shared Fig. 17 / 18 sweep (cached per session)."""
-    return run_scalability_sweep(
+def scalability_sweep() -> SweepArtifact:
+    """The shared Fig. 17 / 18 sweep over ``PARAMS["capacities"]`` (cached per session)."""
+    return _run(ExperimentSpec.scalability(
+        schedulers=tuple(scheduler_factories()),
         capacities=tuple(PARAMS["capacities"]),
-        base_config=main_experiment_config(),
-        schedulers=scheduler_factories(),
-    )
+        seeds=(SEED,),
+        trace=_trace(),
+    ))

@@ -12,8 +12,7 @@ from repro.analysis.reporting import format_table
 from repro.baselines.tiresias import TiresiasScheduler
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_single
+from repro.experiments.backends import simulate_trace
 from repro.jobs.job import JobSpec
 from repro.workload.arrivals import BurstyArrivals, DiurnalArrivals, PoissonArrivals
 from repro.workload.trace import TraceConfig, TraceGenerator
@@ -55,22 +54,20 @@ def _retime(trace, times):
 
 
 def _run_all():
-    config = ExperimentConfig(
-        num_gpus=16,
-        trace=TraceConfig(num_jobs=NUM_JOBS, arrival_rate=1.0 / 20.0),
-        seed=SEED + 5,
-    )
-    base_trace = TraceGenerator(config.trace, seed=config.seed).generate()
+    trace_seed = SEED + 5
+    base_trace = TraceGenerator(
+        TraceConfig(num_jobs=NUM_JOBS, arrival_rate=1.0 / 20.0), seed=trace_seed
+    ).generate()
     outcomes = {}
     for label, process in PROCESSES.items():
-        times = process.generate(NUM_JOBS, rng=config.seed)
+        times = process.generate(NUM_JOBS, rng=trace_seed)
         trace = _retime(base_trace, times)
-        ones = run_single(
+        ones = simulate_trace(
             ONESScheduler(ONESConfig(evolution=EvolutionConfig(population_size=12)), seed=SEED),
             trace,
-            config,
+            16,
         )
-        tiresias = run_single(TiresiasScheduler(), trace, config)
+        tiresias = simulate_trace(TiresiasScheduler(), trace, 16)
         outcomes[label] = (ones, tiresias)
     return outcomes
 

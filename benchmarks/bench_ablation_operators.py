@@ -13,9 +13,8 @@ on the same trace and compares average JCT.
 from repro.analysis.reporting import format_table
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
-from repro.workload.trace import TraceConfig
+from repro.experiments.backends import simulate_trace
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 from benchmarks._shared import SEED, write_report
 
@@ -28,21 +27,12 @@ VARIANTS = {
 }
 
 
-def _config() -> ExperimentConfig:
-    return ExperimentConfig(
-        num_gpus=16,
-        trace=TraceConfig(num_jobs=16, arrival_rate=1.0 / 20.0),
-        seed=SEED,
-    )
-
-
 def _run_all():
-    config = _config()
-    trace = generate_trace(config)
+    trace = TraceGenerator(TraceConfig(num_jobs=16, arrival_rate=1.0 / 20.0), seed=SEED).generate()
     outcomes = {}
     for label, evolution in VARIANTS.items():
         scheduler = ONESScheduler(ONESConfig(evolution=evolution), seed=SEED)
-        outcomes[label] = run_single(scheduler, trace, config)
+        outcomes[label] = simulate_trace(scheduler, trace, 16)
     return outcomes
 
 

@@ -11,26 +11,18 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
+from repro.experiments.backends import simulate_trace
 from repro.prediction.history import examples_from_job
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 from benchmarks._shared import SEED, write_report
 
 
-def _config() -> ExperimentConfig:
-    return ExperimentConfig(
-        num_gpus=16,
-        trace=TraceConfig(num_jobs=14, arrival_rate=1.0 / 20.0),
-        seed=SEED + 1,
-    )
-
-
 def _run_backend(backend: str):
-    config = _config()
-    trace = generate_trace(config)
+    trace = TraceGenerator(
+        TraceConfig(num_jobs=14, arrival_rate=1.0 / 20.0), seed=SEED + 1
+    ).generate()
     scheduler = ONESScheduler(
         ONESConfig(
             evolution=EvolutionConfig(population_size=12),
@@ -38,7 +30,7 @@ def _run_backend(backend: str):
         ),
         seed=SEED,
     )
-    result = run_single(scheduler, trace, config)
+    result = simulate_trace(scheduler, trace, 16)
 
     # Predictive accuracy: train on the first half of completed jobs,
     # evaluate epochs-remaining error on the second half.

@@ -1,15 +1,16 @@
 """Figure 18 — JCT of each baseline relative to ONES across cluster capacities."""
 
+from repro.analysis.metrics import relative_jct
 from repro.analysis.reporting import ascii_series
 
 from benchmarks._shared import scalability_sweep, write_report
 
 
 def _relative_series(sweep):
-    capacities = sorted(sweep)
+    capacities = sorted(sweep.spec.capacities)
     series = {}
     for capacity in capacities:
-        for name, value in sweep[capacity].relative_jct("ONES").items():
+        for name, value in relative_jct(sweep.results_for(capacity), "ONES").items():
             series.setdefault(name, []).append(round(value, 2))
     return capacities, series
 
@@ -31,7 +32,7 @@ def test_fig18_relative_jct(benchmark):
         assert all(v > 1.0 for v in values), name
     # At the largest capacity the baselines remain >= 15% worse than ONES.
     largest = capacities[-1]
-    rel = sweep[largest].relative_jct("ONES")
+    rel = relative_jct(sweep.results_for(largest), "ONES")
     for name, value in rel.items():
         if name != "ONES":
             assert value > 1.15, (name, value)

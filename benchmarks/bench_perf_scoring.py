@@ -30,13 +30,11 @@ from repro.core.operators import reorder
 from repro.core.schedule import IDLE, Schedule
 from repro.core.scoring import score_candidates, score_population
 from repro.experiments.backends import simulate_trace
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import create_scheduler
-from repro.experiments.runner import generate_trace
 from repro.faults import FaultConfig
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 from tests._core_helpers import make_jobs
 
@@ -100,12 +98,8 @@ def _bench_event_loop() -> Dict[str, Dict]:
     """
     records: Dict[str, Dict] = {}
     for num_gpus, num_jobs in EVENT_LOOP_CONFIGS:
-        config = ExperimentConfig(
-            num_gpus=num_gpus,
-            trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
-            seed=SEED,
-        )
-        trace = generate_trace(config)
+        trace_config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0)
+        trace = TraceGenerator(trace_config, seed=SEED).generate()
         row: Dict[str, Dict] = {}
         for label, options in (
             ("default", {}),
@@ -156,12 +150,8 @@ def _bench_faults() -> Dict:
     alongside for the perf trajectory of recovery itself.
     """
     num_gpus, num_jobs = 16, 10
-    config = ExperimentConfig(
-        num_gpus=num_gpus,
-        trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
-        seed=SEED,
-    )
-    trace = generate_trace(config)
+    trace_config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0)
+    trace = TraceGenerator(trace_config, seed=SEED).generate()
 
     def timed_run(faults):
         scheduler = create_scheduler("ONES", SEED)
@@ -236,12 +226,8 @@ def _bench_hierarchical_scale() -> Dict[str, Dict]:
     records: Dict[str, Dict] = {}
     for tier in tiers:
         num_gpus, num_jobs, partition_size, interval = SCALE_TIERS[tier]
-        config = ExperimentConfig(
-            num_gpus=num_gpus,
-            trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval),
-            seed=SEED,
-        )
-        trace = generate_trace(config)
+        trace_config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval)
+        trace = TraceGenerator(trace_config, seed=SEED).generate()
         scheduler = create_scheduler("ONES-hier", SEED, partition_size=partition_size)
         start = perf_counter()
         result = simulate_trace(scheduler, trace, num_gpus, SimulationConfig())
@@ -288,12 +274,8 @@ def _bench_observability() -> Dict:
     from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
 
     num_gpus, num_jobs, partition_size, interval = SCALE_TIERS["quick"]
-    config = ExperimentConfig(
-        num_gpus=num_gpus,
-        trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval),
-        seed=SEED,
-    )
-    trace = generate_trace(config)
+    trace_config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / interval)
+    trace = TraceGenerator(trace_config, seed=SEED).generate()
     sim_config = SimulationConfig(max_time=600.0)
 
     def timed_run():

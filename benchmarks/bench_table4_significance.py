@@ -3,13 +3,13 @@
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import significance_table
 
-from benchmarks._shared import main_comparison, write_report
+from benchmarks._shared import PARAMS, main_comparison, write_report
 
 
 def test_table4_wilcoxon(benchmark):
-    comparison = main_comparison()
-    ones = comparison.results["ONES"]
-    baselines = [r for name, r in comparison.results.items() if name != "ONES"]
+    by_name = main_comparison().results_for(PARAMS["num_gpus"])
+    ones = by_name["ONES"]
+    baselines = [r for name, r in by_name.items() if name != "ONES"]
 
     table = benchmark(significance_table, ones, baselines)
 

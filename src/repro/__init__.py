@@ -14,22 +14,30 @@ The package layers, bottom-up:
   generation.
 * :mod:`repro.prediction` — the online progress predictor (Beta
   distributions over training progress, GPR / Bayesian-linear backends).
-* :mod:`repro.scaling` — elastic batch-size scaling: protocol state
-  machines and the overhead model.
+* :mod:`repro.scaling` — elastic batch-size scaling: the
+  re-configuration overhead model (Fig. 16).
 * :mod:`repro.core` — ONES itself: schedule genomes, SRUF scoring,
   batch-size limits, evolution operators and the scheduler.
 * :mod:`repro.baselines` — DRL, Tiresias, Optimus (and reference FIFO /
   SRTF policies) behind a common scheduler interface.
 * :mod:`repro.sim` — the discrete-event cluster simulator.
 * :mod:`repro.analysis` — metrics, Wilcoxon tests, text reporting.
-* :mod:`repro.experiments` — runners and figure/table generators.
+* :mod:`repro.experiments` — declarative experiment specs, the Runner,
+  sweep artifacts and figure/table generators.
 
 Quickstart
 ----------
->>> from repro.experiments import ExperimentConfig, run_comparison
->>> config = ExperimentConfig.small(num_gpus=16, num_jobs=8)
->>> comparison = run_comparison(config)          # doctest: +SKIP
->>> comparison.averages("jct")                   # doctest: +SKIP
+>>> from repro.analysis.metrics import mean_metric
+>>> from repro.experiments import ExperimentSpec, Runner
+>>> from repro.workload.trace import TraceConfig
+>>> spec = ExperimentSpec.comparison(
+...     num_gpus=16, seed=7, trace=TraceConfig(num_jobs=8, arrival_rate=1.0 / 15.0)
+... )
+>>> spec.schedulers
+('ONES', 'DRL', 'Tiresias', 'Optimus')
+>>> sweep = Runner().run(spec)                   # doctest: +SKIP
+>>> {name: mean_metric(result, "jct")            # doctest: +SKIP
+...  for name, result in sweep.results_for(16).items()}
 """
 
 __version__ = "1.0.0"
@@ -45,8 +53,6 @@ from repro.baselines import (
 )
 from repro.sim.simulator import ClusterSimulator, SimulationConfig, SimulationResult
 from repro.workload.trace import TraceConfig, TraceGenerator
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_comparison, run_scalability_sweep, run_single
 
 __all__ = [
     "__version__",
@@ -64,8 +70,4 @@ __all__ = [
     "SimulationResult",
     "TraceConfig",
     "TraceGenerator",
-    "ExperimentConfig",
-    "run_comparison",
-    "run_scalability_sweep",
-    "run_single",
 ]

@@ -53,9 +53,9 @@ def metric_values(result: SimulationResult, metric: str) -> np.ndarray:
 def mean_metric(result: SimulationResult, metric: str = "jct") -> float:
     """Mean of ``metric`` over completed jobs (``nan`` when nothing completed).
 
-    The single metric-lookup used by ``ComparisonResult.averages`` /
-    ``.improvements`` and the sweep-artifact aggregations, so every
-    average printed anywhere in the repo comes from the same code path.
+    The single metric-lookup behind the per-scheduler averages of the CLI,
+    the exporters and the sweep-artifact aggregations, so every average
+    printed anywhere in the repo comes from the same code path.
     """
     values = metric_values(result, metric)
     return float(values.mean()) if values.size else float("nan")

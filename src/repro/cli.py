@@ -75,6 +75,7 @@ from repro.analysis.export import (
     export_result_json,
     export_sweep_json,
 )
+from repro.analysis.metrics import improvement_over, mean_metric
 from repro.analysis.reporting import ascii_bar_chart, ascii_series, format_table
 from repro.analysis.stats import significance_table
 from repro.experiments import figures
@@ -370,9 +371,6 @@ def _add_partition_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--partition-size", type=int, default=None, metavar="GPUS",
                        help="shard size in GPUs (default 64, the paper scale; "
                             "must tile the cluster in whole nodes)")
-    group.add_argument("--partition-workers", type=int, default=None, metavar="N",
-                       help="process-pool size for evolving multiple dirty "
-                            "partitions concurrently (default: sequential)")
 
 
 def _hier_options(args) -> Dict[str, object]:
@@ -380,8 +378,6 @@ def _hier_options(args) -> Dict[str, object]:
     options: Dict[str, object] = {}
     if getattr(args, "partition_size", None) is not None:
         options["partition_size"] = int(args.partition_size)
-    if getattr(args, "partition_workers", None) is not None:
-        options["parallel_workers"] = int(args.partition_workers)
     return options
 
 
@@ -489,7 +485,7 @@ def _experiment_spec(args, capacities: Sequence[int], seeds: Sequence[int]) -> E
     sizes = getattr(args, "partition_sizes", None)
     if (hier or sizes) and "ONES-hier" not in schedulers:
         raise SystemExit(
-            "--partition-size/--partition-workers/--partition-sizes configure the "
+            "--partition-size/--partition-sizes configure the "
             "ONES-hier scheduler; add it with --schedulers ones-hier"
         )
     option_axis: tuple = ({},)
@@ -708,7 +704,7 @@ def cmd_run(args) -> int:
     options = _hier_options(args)
     if options and canonical != "ONES-hier":
         raise SystemExit(
-            "--partition-size/--partition-workers configure the ONES-hier "
+            "--partition-size configures the ONES-hier "
             "scheduler; pass --scheduler ones-hier"
         )
     scheduler = create_scheduler(canonical, args.seed, **options)
@@ -774,34 +770,38 @@ def cmd_compare(args) -> int:
         if args.output_dir:
             _persist_sweep(sweep, args.output_dir)
         return _report_failed_cells(sweep)
-    comparison = sweep.to_comparisons()[args.gpus]
-    print("Average JCT (s)")
-    print(ascii_bar_chart(comparison.averages("jct"), unit="s"))
-    print()
-    print("Average execution time (s)")
-    print(ascii_bar_chart(comparison.averages("execution_time"), unit="s"))
-    print()
-    print("Average queuing time (s)")
-    print(ascii_bar_chart(comparison.averages("queuing_time"), unit="s"))
-    reference = "ONES" if "ONES" in comparison.results else None
-    if reference and len(comparison.results) > 1:
+    results = sweep.results_for(args.gpus)
+    for index, (metric, title) in enumerate((
+        ("jct", "Average JCT (s)"),
+        ("execution_time", "Average execution time (s)"),
+        ("queuing_time", "Average queuing time (s)"),
+    )):
+        if index:
+            print()
+        print(title)
+        averages = {name: mean_metric(result, metric) for name, result in results.items()}
+        print(ascii_bar_chart(averages, unit="s"))
+    if "ONES" in results and len(results) > 1:
+        ones = results["ONES"]
+        baselines = {n: r for n, r in results.items() if n != "ONES"}
         print()
-        print(f"{reference} improvement over baselines (average JCT):")
-        for name, value in comparison.improvements(reference).items():
-            print(f"  vs {name:10s}: {100 * value:5.1f}%")
-        ref_result = comparison.results[reference]
-        baselines = [r for n, r in comparison.results.items() if n != reference]
+        print("ONES improvement over baselines (average JCT):")
+        for name, result in baselines.items():
+            print(f"  vs {name:10s}: {100 * improvement_over(ones, result):5.1f}%")
         print()
         print("Wilcoxon tests (Table 4):")
-        print(format_table([r.as_row() for r in significance_table(ref_result, baselines).values()]))
+        table = significance_table(ones, list(baselines.values()))
+        print(format_table([r.as_row() for r in table.values()]))
     if args.csv:
-        print(f"per-job metrics written to {export_comparison_csv(comparison, args.csv)}")
+        path = export_comparison_csv(sweep, args.gpus, args.csv)
+        print(f"per-job metrics written to {path}")
     if args.json:
-        print(f"summary written to {export_comparison_json(comparison, args.json)}")
+        print(f"summary written to {export_comparison_json(sweep, args.gpus, args.json)}")
     if args.report:
         from repro.experiments.report import write_comparison_report
 
-        print(f"markdown report written to {write_comparison_report(comparison, args.report)}")
+        path = write_comparison_report(sweep, args.gpus, args.report)
+        print(f"markdown report written to {path}")
     _print_recovery_summary(sweep)
     if args.profile:
         _print_profile_summary(sweep)
@@ -856,7 +856,7 @@ def cmd_sweep(args) -> int:
     if args.json:
         if (len(spec.seeds) == 1 and len(spec.traces) == 1 and len(spec.faults) == 1
                 and len(spec.option_axis) == 1):
-            print(f"sweep written to {export_sweep_json(sweep.to_comparisons(), args.json)}")
+            print(f"sweep written to {export_sweep_json(sweep, args.json)}")
         else:
             args.json.write_text(sweep.to_json() + "\n")
             print(f"sweep artifact written to {args.json}")

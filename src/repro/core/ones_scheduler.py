@@ -99,8 +99,8 @@ class ONESScheduler(SchedulerBase):
         self.num_incremental_fills: int = 0
         #: Shard label stamped onto trace records ("" for a flat
         #: scheduler; the hierarchical reconciler sets "p<i>" per
-        #: partition).  A plain string so pickled inner schedulers
-        #: (parallel evolution workers) carry no recorder reference.
+        #: partition).  A plain string, so a scheduler holds no
+        #: recorder reference.
         self.trace_label: str = ""
 
     # ------------------------------------------------------------------ callbacks
@@ -452,8 +452,7 @@ class ONESScheduler(SchedulerBase):
         """The scheduler's live counters as a metrics registry.
 
         Built on demand from plain instance counters (the hot path never
-        touches registry objects, and pickled inner schedulers in the
-        hierarchical process pool stay registry-free).  Metric names
+        touches registry objects).  Metric names
         deliberately match the historical ``describe_state()`` keys.
         """
         registry = MetricsRegistry()

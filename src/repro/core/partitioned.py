@@ -40,20 +40,11 @@ callback, every RNG draw, every proposal is the flat scheduler's own, so
 the hierarchical path is bit-identical to flat ONES by construction, not
 by test luck.  ``tests/test_core_partitioned.py`` pins this
 differentially over faulted and unfaulted trajectories.
-
-Multiple partitions dirty in one event (fault sweeps, reservation
-drains) can evolve concurrently: ``parallel_workers > 1`` ships each
-(scheduler, view) pair to a process pool — the same
-``concurrent.futures`` machinery the experiment backends use — and the
-results are bit-identical to the sequential loop because each inner
-scheduler round-trips through pickle with its full RNG/population state.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -85,14 +76,12 @@ class HierarchicalConfig:
     explicit partition *count* resolved against the cluster size at
     start-up — ``partitions=1`` is the flat-ONES parity mode.  ``ones``
     configures every per-partition search (the ``EvolutionConfig``
-    plumbing rides inside it unchanged).  ``parallel_workers > 1``
-    evolves concurrently-dirty partitions in a process pool.
+    plumbing rides inside it unchanged).
     """
 
     partition_size: int = 64
     partitions: Optional[int] = None
     ones: ONESConfig = field(default_factory=ONESConfig)
-    parallel_workers: int = 0
 
     def resolved_partition_size(self, num_gpus: int) -> int:
         """The effective shard size for a cluster of ``num_gpus``."""
@@ -116,19 +105,6 @@ class _Partition:
     index: int
     nodes: Tuple[int, ...]
     inner: ONESScheduler
-
-
-def _evolve_partition_task(payload: bytes) -> bytes:
-    """Process-pool task: run one partition's evolve pass on a pickled pair.
-
-    The inner scheduler crosses the boundary *by value* (RNG state,
-    population, predictor and all) and comes back updated, so replacing
-    the parent's instance with the returned copy reproduces the
-    sequential execution exactly.
-    """
-    inner, substate = pickle.loads(payload)
-    proposal = inner.on_fault(substate)
-    return pickle.dumps((proposal, inner))
 
 
 class HierarchicalONESScheduler(SchedulerBase):
@@ -162,8 +138,6 @@ class HierarchicalONESScheduler(SchedulerBase):
         #: visible node set per partition at the previous event, for
         #: capacity-change detection (faults, reservations, give-backs).
         self._last_visible: Dict[int, Tuple[int, ...]] = {}
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_broken = False
         self.num_wide_placements = 0
 
     # ------------------------------------------------------------------ setup
@@ -465,43 +439,12 @@ class HierarchicalONESScheduler(SchedulerBase):
     ) -> Dict[int, Optional[Allocation]]:
         """Evolve capacity-dirty partitions (an ``on_fault``-style pass each).
 
-        With ``parallel_workers > 1`` and several dirty partitions the
-        passes run in a process pool; results are bit-identical to the
-        sequential loop (the inner scheduler state round-trips by value).
-        Pickling failures fall back to sequential permanently.
+        Partitions without a visible node are skipped (no proposal).
         """
-        live = [p for p in partitions if views[p.index] is not None]
-        results: Dict[int, Optional[Allocation]] = {
-            p.index: None for p in partitions if views[p.index] is None
+        return {
+            p.index: None if views[p.index] is None else p.inner.on_fault(views[p.index].state)
+            for p in partitions
         }
-        workers = int(self.config.parallel_workers)
-        if workers > 1 and len(live) > 1 and not self._pool_broken:
-            try:
-                payloads = {
-                    p.index: pickle.dumps((p.inner, views[p.index].state))
-                    for p in live
-                }
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=workers)
-                futures = {
-                    index: self._pool.submit(_evolve_partition_task, payload)
-                    for index, payload in payloads.items()
-                }
-                for partition in live:
-                    proposal, updated = pickle.loads(futures[partition.index].result())
-                    self._partitions[partition.index].inner = updated
-                    results[partition.index] = proposal
-                return results
-            except Exception:
-                # Anything unpicklable (or a broken pool) demotes this
-                # scheduler to the sequential path for the rest of the run.
-                self._pool_broken = True
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                    self._pool = None
-        for partition in live:
-            results[partition.index] = partition.inner.on_fault(views[partition.index].state)
-        return results
 
     # -- the wide-job path --------------------------------------------------------------
 

@@ -23,10 +23,15 @@ The public API for producing every table and figure of the paper:
   :class:`~repro.experiments.artifacts.RunArtifact` /
   :class:`~repro.experiments.artifacts.SweepArtifact` results (JSON
   round-trip, per-job metrics, telemetry summaries).
-* :mod:`repro.experiments.runner` — the legacy ``run_single`` /
-  ``run_comparison`` / ``run_scalability_sweep`` shims.
-* :mod:`repro.experiments.figures` — generators for the analytic
-  figures that need no cluster simulation.
+* :mod:`repro.experiments.report` — Markdown reports of one comparison
+  slice or a whole sweep of a
+  :class:`~repro.experiments.artifacts.SweepArtifact`.
+* :mod:`repro.experiments.figures` — generators for every figure and
+  table; the simulation-driven ones run a spec through the Runner.
+
+Running a multi-scheduler experiment always goes spec -> Runner ->
+SweepArtifact; a caller holding a hand-built scheduler instance replays
+a trace directly with :func:`~repro.experiments.backends.simulate_trace`.
 """
 
 from repro.experiments.artifacts import RunArtifact, SweepArtifact, dead_cell_artifact
@@ -43,7 +48,6 @@ from repro.experiments.backends import (
     simulate_trace,
 )
 from repro.experiments.queue import CellState, LeaseLostError, WorkQueue
-from repro.experiments.config import ExperimentConfig, default_schedulers
 from repro.experiments.orchestrator import Runner, RunnerStats, run_experiment
 from repro.experiments.registry import (
     SchedulerEntry,
@@ -55,13 +59,6 @@ from repro.experiments.registry import (
     register_scheduler,
 )
 from repro.experiments.report import build_comparison_report, write_comparison_report
-from repro.experiments.runner import (
-    ComparisonResult,
-    generate_trace,
-    run_comparison,
-    run_scalability_sweep,
-    run_single,
-)
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.experiments import figures
 
@@ -98,14 +95,7 @@ __all__ = [
     "available_schedulers",
     "paper_schedulers",
     "capabilities_table",
-    # legacy shims
-    "ExperimentConfig",
-    "default_schedulers",
-    "ComparisonResult",
-    "generate_trace",
-    "run_comparison",
-    "run_scalability_sweep",
-    "run_single",
+    # reports and figures
     "build_comparison_report",
     "write_comparison_report",
     "figures",

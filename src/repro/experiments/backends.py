@@ -15,8 +15,9 @@ input order.  Two backends ship with the repo:
   unpicklable (scheduler instances, lambdas, RNG state) ever has to.
 
 The free functions are the single execution path everything funnels
-through: the legacy ``run_single``/``run_comparison`` shims call
-:func:`simulate_trace`, and both backends call :func:`execute_run`.
+through: every backend calls :func:`execute_run`, and callers that
+build a scheduler instance by hand (ablation benches, parity tests)
+replay a trace with :func:`simulate_trace` directly.
 """
 
 from __future__ import annotations
@@ -314,8 +315,8 @@ class SerialBackend(ExecutionBackend):
     """Execute cells one after another in the current process.
 
     Accepts an optional ``resolver`` so ad-hoc (unregistered, possibly
-    unpicklable) scheduler factories can be used — the escape hatch the
-    legacy ``run_comparison(schedulers={...})`` API is built on.
+    unpicklable) scheduler factories can be used — e.g. the benchmark
+    harness's DRL baseline with a policy trained once per session.
     """
 
     name = "serial"

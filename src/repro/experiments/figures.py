@@ -5,33 +5,42 @@ they can be consumed both by the benchmark harness (which prints them)
 and by tests (which assert their *shape* — who wins, which curve is
 monotone, where the crossover falls).
 
-These are the *analytic* figures (throughput scaling, convergence,
+Most are *analytic* figures (throughput scaling, convergence,
 overheads) that need no cluster simulation.  The simulation-driven
-figures (15, 17, 18 and Table 4) are produced by running an
+figures (15, 17, 18 and Table 4) run an
 :class:`~repro.experiments.spec.ExperimentSpec` grid through the
-:class:`~repro.experiments.orchestrator.Runner` and aggregating the
-resulting :class:`~repro.experiments.artifacts.SweepArtifact`.
+:class:`~repro.experiments.orchestrator.Runner` and aggregate the
+resulting :class:`~repro.experiments.artifacts.SweepArtifact`; Fig. 6
+replays one trace with :func:`~repro.experiments.backends.simulate_trace`
+because it needs the live ``Job`` objects of the run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.metrics import compare_results, completion_fraction_within
+from repro.analysis.metrics import (
+    compare_results,
+    completion_fraction_within,
+    improvement_over,
+    mean_metric,
+    relative_jct,
+)
 from repro.analysis.stats import significance_table
 from repro.baselines.base import SchedulerBase
 from repro.cluster.topology import make_longhorn_cluster
 from repro.core.ones_scheduler import ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ComparisonResult, run_comparison, run_scalability_sweep
+from repro.experiments.backends import simulate_trace
+from repro.experiments.orchestrator import Runner
+from repro.experiments.spec import ExperimentSpec
 from repro.jobs.convergence import ConvergenceProfile, LossCurveSimulator
 from repro.jobs.model_zoo import MODEL_ZOO, get_model
 from repro.jobs.throughput import ThroughputModel
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
 from repro.scaling.overhead import OverheadModel
-from repro.sim.simulator import ClusterSimulator, SimulationConfig
+from repro.sim.simulator import SimulationConfig
 from repro.workload.tasks import build_workload_catalog, catalog_summary, make_job_spec
 from repro.workload.trace import TraceConfig, TraceGenerator
 
@@ -102,11 +111,11 @@ def figure6_prediction_example(
     backend: str = "gpr",
 ) -> Dict[str, np.ndarray]:
     """Train the progress predictor on a few completed jobs and predict a new one."""
-    config = ExperimentConfig.small(num_gpus=16, num_jobs=num_training_jobs, seed=seed)
-    trace = TraceGenerator(config.trace, seed=seed).generate()
-    scheduler = ONESScheduler(seed=seed)
-    topology = make_longhorn_cluster(config.num_gpus)
-    result = ClusterSimulator(topology, scheduler, trace, config=config.simulation).run()
+    trace_config = TraceConfig(num_jobs=num_training_jobs, arrival_rate=1.0 / 15.0)
+    trace = TraceGenerator(trace_config, seed=seed).generate()
+    result = simulate_trace(
+        ONESScheduler(seed=seed), trace, 16, SimulationConfig(max_time=24 * 3600.0)
+    )
     predictor = ProgressPredictor(PredictorConfig(backend=backend), seed=seed)
     completed = [job for job in result.jobs.values() if job.is_completed]
     if len(completed) < 2:
@@ -206,30 +215,33 @@ def table3_capabilities() -> Sequence[Dict[str, str]]:
 
 
 def figure15_comparison(
-    config: Optional[ExperimentConfig] = None,
+    spec: Optional[ExperimentSpec] = None,
 ) -> Dict[str, object]:
     """Run the main JCT / execution-time / queuing-time comparison.
 
-    Returns the raw :class:`ComparisonResult` plus the per-metric
-    summaries and the Table-4 significance reports.
+    ``spec`` defaults to :meth:`ExperimentSpec.comparison` (the paper's
+    four schedulers, 64 GPUs, 50 jobs); the figure reads its first
+    capacity.  Returns the :class:`SweepArtifact` plus the per-metric
+    averages and summaries and the Table-4 significance reports.
     """
-    comparison = run_comparison(config)
-    results = list(comparison.results.values())
-    ones = comparison.results.get("ONES")
-    payload: Dict[str, object] = {
-        "comparison": comparison,
-        "averages_jct": comparison.averages("jct"),
-        "averages_execution": comparison.averages("execution_time"),
-        "averages_queuing": comparison.averages("queuing_time"),
-        "summaries_jct": compare_results(results, "jct"),
-        "summaries_execution": compare_results(results, "execution_time"),
-        "summaries_queuing": compare_results(results, "queuing_time"),
-        "fraction_within_200s": completion_fraction_within(results, 200.0),
-    }
+    sweep = Runner().run(spec or ExperimentSpec.comparison())
+    by_name = sweep.results_for(sweep.spec.capacities[0])
+    results = list(by_name.values())
+    payload: Dict[str, object] = {"sweep": sweep}
+    for metric, key in (("jct", "jct"), ("execution_time", "execution"),
+                        ("queuing_time", "queuing")):
+        payload[f"averages_{key}"] = {
+            name: mean_metric(result, metric) for name, result in by_name.items()
+        }
+        payload[f"summaries_{key}"] = compare_results(results, metric)
+    payload["fraction_within_200s"] = completion_fraction_within(results, 200.0)
+    ones = by_name.get("ONES")
     if ones is not None:
-        payload["improvements"] = comparison.improvements("ONES", "jct")
-        baselines = [r for name, r in comparison.results.items() if name != "ONES"]
-        payload["table4"] = significance_table(ones, baselines)
+        baselines = {name: r for name, r in by_name.items() if name != "ONES"}
+        payload["improvements"] = {
+            name: improvement_over(ones, result) for name, result in baselines.items()
+        }
+        payload["table4"] = significance_table(ones, list(baselines.values()))
     return payload
 
 
@@ -260,21 +272,24 @@ def figure16_overheads(
 
 
 def figure17_18_scalability(
-    capacities: Sequence[int] = (16, 32, 48, 64),
-    base_config: Optional[ExperimentConfig] = None,
+    spec: Optional[ExperimentSpec] = None,
 ) -> Dict[str, object]:
-    """Average JCT and relative JCT across cluster capacities."""
-    sweep = run_scalability_sweep(capacities, base_config)
+    """Average JCT and relative JCT across cluster capacities.
+
+    ``spec`` defaults to :meth:`ExperimentSpec.scalability` (16/32/48/64
+    GPUs); each capacity is read on the grid's first seed and trace.
+    """
+    sweep = Runner().run(spec or ExperimentSpec.scalability())
     average_jct: Dict[str, list] = {}
     relative: Dict[str, list] = {}
-    for capacity in capacities:
-        comparison = sweep[int(capacity)]
-        for name, value in comparison.averages("jct").items():
-            average_jct.setdefault(name, []).append(value)
-        for name, value in comparison.relative_jct("ONES").items():
+    for capacity in sweep.spec.capacities:
+        results = sweep.results_for(capacity)
+        for name, result in results.items():
+            average_jct.setdefault(name, []).append(mean_metric(result, "jct"))
+        for name, value in relative_jct(results, "ONES").items():
             relative.setdefault(name, []).append(value)
     return {
-        "capacities": list(int(c) for c in capacities),
+        "capacities": list(sweep.spec.capacities),
         "average_jct": average_jct,
         "relative_jct": relative,
         "sweep": sweep,

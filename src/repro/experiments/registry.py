@@ -252,7 +252,6 @@ def _make_ones_hier(
     config: Optional[HierarchicalConfig] = None,
     partition_size: Optional[int] = None,
     partitions: Optional[int] = None,
-    parallel_workers: Optional[int] = None,
     evolution: Optional[EvolutionConfig] = None,
     population_size: Optional[int] = None,
     mutation_rate: Optional[float] = None,
@@ -266,8 +265,7 @@ def _make_ones_hier(
     Mirrors the flat ONES scalar knobs (they configure every per-partition
     search) plus the hierarchy's own: ``partition_size`` in GPUs (default
     64, the paper scale), ``partitions`` as an explicit shard-count
-    override (``partitions=1`` is the flat-parity mode), and
-    ``parallel_workers`` for the process-pool evolve burst.
+    override (``partitions=1`` is the flat-parity mode).
     """
     if config is None:
         inner = _make_ones(
@@ -285,8 +283,6 @@ def _make_ones_hier(
             overrides["partition_size"] = int(partition_size)
         if partitions is not None:
             overrides["partitions"] = int(partitions)
-        if parallel_workers is not None:
-            overrides["parallel_workers"] = int(parallel_workers)
         config = HierarchicalConfig(**overrides)
     return HierarchicalONESScheduler(config, seed=seed)
 

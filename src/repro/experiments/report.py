@@ -1,27 +1,24 @@
 """Markdown report generation for comparison and sweep experiments.
 
-``build_comparison_report`` turns a :class:`ComparisonResult` into a
-self-contained Markdown document (headline averages, distributions,
-improvements, Wilcoxon tests, per-scheduler telemetry), which the CLI can
-write next to the exported CSV/JSON artefacts.  When the comparison came
-out of the declarative Runner, the pre-computed per-run telemetry stored
-in its :class:`~repro.experiments.artifacts.RunArtifact`\\ s is used —
-job-less results reconstructed from artifacts carry no ``Job`` objects
-to summarize from.  ``build_sweep_report`` renders a whole
-:class:`~repro.experiments.artifacts.SweepArtifact` grid (the Fig. 17/18
-tables) the same way.
+``build_comparison_report`` renders one comparison slice of a
+:class:`~repro.experiments.artifacts.SweepArtifact` — a capacity plus an
+optional fault-axis index — as a self-contained Markdown document
+(headline averages, distributions, improvements, Wilcoxon tests,
+per-scheduler telemetry), which the CLI can write next to the exported
+CSV/JSON artefacts.  Telemetry comes from each cell's
+:class:`~repro.experiments.artifacts.RunArtifact`, computed while the
+live ``Job`` objects still existed.  ``build_sweep_report`` renders a
+whole sweep grid (the Fig. 17/18 tables) the same way.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
-from repro.analysis.metrics import compare_results, completion_fraction_within
+from repro.analysis.metrics import compare_results, improvement_over
 from repro.analysis.stats import significance_table
 from repro.experiments.artifacts import SweepArtifact
-from repro.experiments.runner import ComparisonResult
-from repro.sim.telemetry import summarize_run
 
 PathLike = Union[str, Path]
 
@@ -46,26 +43,32 @@ def _markdown_table(rows: Sequence[Dict[str, object]]) -> str:
 
 
 def build_comparison_report(
-    comparison: ComparisonResult,
+    sweep: SweepArtifact,
+    capacity: int,
+    fault_index: int = 0,
     reference: str = "ONES",
     title: str = "Scheduler comparison report",
 ) -> str:
-    """Build the full Markdown report for a comparison run."""
-    results = list(comparison.results.values())
+    """Build the full Markdown report for one comparison slice of ``sweep``.
+
+    The slice is every scheduler's cell at ``capacity`` on the sweep's
+    first seed and trace, under fault-axis entry ``fault_index``.
+    """
+    by_name = sweep.results_for(capacity, fault_index=fault_index)
+    results = list(by_name.values())
+    capacity = int(capacity)
+    seed = sweep.spec.seeds[0]
     lines: List[str] = [f"# {title}", ""]
-    lines.append(
-        f"- Cluster: **{comparison.config.num_gpus} GPUs** "
-        f"({comparison.config.num_gpus // 4} Longhorn-style nodes)"
-    )
-    lines.append(f"- Trace: **{len(comparison.trace)} jobs**, seed {comparison.config.seed}")
-    lines.append(f"- Schedulers: {', '.join(comparison.results)}")
+    lines.append(f"- Cluster: **{capacity} GPUs** ({capacity // 4} Longhorn-style nodes)")
+    lines.append(f"- Trace: **{sweep.spec.traces[0].num_jobs} jobs**, seed {seed}")
+    lines.append(f"- Schedulers: {', '.join(by_name)}")
     lines.append("")
 
     # Headline averages.
     lines.append("## Average metrics")
     lines.append("")
     rows = []
-    for name, result in comparison.results.items():
+    for name, result in by_name.items():
         rows.append(
             {
                 "scheduler": name,
@@ -101,15 +104,15 @@ def build_comparison_report(
     lines.append("")
 
     # Improvements + significance relative to the reference scheduler.
-    if reference in comparison.results:
+    if reference in by_name:
         lines.append(f"## {reference} vs the baselines")
         lines.append("")
-        improvements = comparison.improvements(reference)
-        ref_result = comparison.results[reference]
-        baselines = [r for n, r in comparison.results.items() if n != reference]
-        tests = significance_table(ref_result, baselines)
+        ref_result = by_name[reference]
+        baselines = {n: r for n, r in by_name.items() if n != reference}
+        tests = significance_table(ref_result, list(baselines.values()))
         rows = []
-        for name, value in improvements.items():
+        for name, result in baselines.items():
+            value = improvement_over(ref_result, result)
             report = tests.get(name)
             rows.append(
                 {
@@ -123,17 +126,14 @@ def build_comparison_report(
         lines.append(_markdown_table(rows))
         lines.append("")
 
-    # Telemetry: prefer the summaries captured at simulation time
-    # (artifact-backed comparisons have no live Job objects left).
+    # Telemetry was summarised at simulation time: the artifacts' results
+    # carry no live Job objects to summarise from.
     lines.append("## Cluster telemetry")
     lines.append("")
-    telemetry_rows = []
-    for name, result in comparison.results.items():
-        artifact = comparison.artifacts.get(name)
-        if artifact is not None and artifact.telemetry:
-            telemetry_rows.append(dict(artifact.telemetry))
-        else:
-            telemetry_rows.append(summarize_run(result).as_dict())
+    telemetry_rows = [
+        dict(sweep.get(name, capacity, seed, fault_index=fault_index).telemetry)
+        for name in by_name
+    ]
     lines.append(_markdown_table(telemetry_rows))
     lines.append("")
     lines.append(
@@ -144,19 +144,24 @@ def build_comparison_report(
 
 
 def write_comparison_report(
-    comparison: ComparisonResult,
+    sweep: SweepArtifact,
+    capacity: int,
     path: PathLike,
+    fault_index: int = 0,
     reference: str = "ONES",
     title: str = "Scheduler comparison report",
 ) -> Path:
-    """Build the report and write it to ``path``; returns the path."""
+    """Build the comparison report of one slice and write it to ``path``."""
     path = Path(path)
-    path.write_text(build_comparison_report(comparison, reference=reference, title=title) + "\n")
+    report = build_comparison_report(
+        sweep, capacity, fault_index=fault_index, reference=reference, title=title
+    )
+    path.write_text(report + "\n")
     return path
 
 
 def build_sweep_report(
-    sweep: "SweepArtifact",
+    sweep: SweepArtifact,
     reference: str = "ONES",
     title: str = "Scalability sweep report",
 ) -> str:
@@ -276,7 +281,7 @@ def build_sweep_report(
 
 
 def write_sweep_report(
-    sweep: "SweepArtifact",
+    sweep: SweepArtifact,
     path: PathLike,
     reference: str = "ONES",
     title: str = "Scalability sweep report",

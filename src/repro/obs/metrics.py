@@ -6,13 +6,10 @@ dicts.  The model follows the Prometheus client idiom — a *family* has
 a name, a type, and label names; a *series* is one labeled child — but
 stays dependency-free and cheap enough to rebuild on demand:
 schedulers construct a registry snapshot from their live counters when
-asked, so the hot path carries no metrics objects at all (and pickled
-inner schedulers in the hierarchical process pool stay registry-free).
+asked, so the hot path carries no metrics objects at all.
 
-:class:`LatencyHistogram` lives here now (moved from
-``repro.service.engine``, which re-exports it for compatibility) so
-the service, the benchmarks, and the trace inspector all share one
-histogram implementation.
+:class:`LatencyHistogram` lives here so the service, the benchmarks,
+and the trace inspector all share one histogram implementation.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from repro.service.schemas import (
     ServiceConfig,
     TenantQuota,
 )
-from repro.service.engine import LatencyHistogram, SchedulerService, TenantState
+from repro.service.engine import SchedulerService, TenantState
 from repro.service.streams import ALL_TENANTS, StreamHub
 from repro.service.http import DEFAULT_PORT, ServiceClient, ServiceServer, run_server
 from repro.service.load import (
@@ -53,7 +53,6 @@ __all__ = [
     "SchemaValidationError",
     "ServiceConfig",
     "TenantQuota",
-    "LatencyHistogram",
     "SchedulerService",
     "TenantState",
     "ALL_TENANTS",

@@ -13,30 +13,32 @@ from repro.analysis.export import (
     export_sweep_json,
     result_to_records,
 )
-from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.tiresias import TiresiasScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_comparison, run_scalability_sweep
+from repro.experiments.backends import simulate_run
+from repro.experiments.orchestrator import Runner
+from repro.experiments.spec import ExperimentSpec
 from repro.workload.trace import TraceConfig
 
 
 @pytest.fixture(scope="module")
 def comparison():
-    config = ExperimentConfig(
+    spec = ExperimentSpec.comparison(
+        schedulers=("FIFO", "Tiresias"),
         num_gpus=8,
-        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
         seed=5,
-        schedulers={
-            "FIFO": lambda seed: FIFOScheduler(),
-            "Tiresias": lambda seed: TiresiasScheduler(),
-        },
+        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
     )
-    return run_comparison(config)
+    return Runner().run(spec)
+
+
+@pytest.fixture(scope="module")
+def fifo_result(comparison):
+    """The FIFO cell re-run in-process, so the result keeps its live jobs."""
+    return simulate_run(comparison.get("FIFO").spec)
 
 
 class TestResultExport:
-    def test_records_have_job_metadata(self, comparison):
-        result = comparison.results["FIFO"]
+    def test_records_have_job_metadata(self, fifo_result):
+        result = fifo_result
         records = result_to_records(result)
         assert len(records) == len(result.completed)
         for record in records:
@@ -44,16 +46,16 @@ class TestResultExport:
             assert record["jct"] > 0
             assert "model" in record and "task" in record
 
-    def test_csv_round_trip(self, comparison, tmp_path):
-        result = comparison.results["FIFO"]
+    def test_csv_round_trip(self, fifo_result, tmp_path):
+        result = fifo_result
         path = export_result_csv(result, tmp_path / "fifo.csv")
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == len(result.completed)
         assert float(rows[0]["jct"]) > 0
 
-    def test_json_round_trip(self, comparison, tmp_path):
-        result = comparison.results["FIFO"]
+    def test_json_round_trip(self, fifo_result, tmp_path):
+        result = fifo_result
         path = export_result_json(result, tmp_path / "fifo.json")
         payload = json.loads(path.read_text())
         assert payload["summary"]["scheduler"] == "FIFO"
@@ -63,26 +65,26 @@ class TestResultExport:
 
 class TestComparisonExport:
     def test_comparison_csv_contains_all_schedulers(self, comparison, tmp_path):
-        path = export_comparison_csv(comparison, tmp_path / "cmp.csv")
+        path = export_comparison_csv(comparison, 8, tmp_path / "cmp.csv")
         with path.open() as handle:
             rows = list(csv.DictReader(handle))
         schedulers = {row["scheduler"] for row in rows}
         assert schedulers == {"FIFO", "Tiresias"}
 
     def test_comparison_json_structure(self, comparison, tmp_path):
-        path = export_comparison_json(comparison, tmp_path / "cmp.json")
+        path = export_comparison_json(comparison, 8, tmp_path / "cmp.json")
         payload = json.loads(path.read_text())
         assert set(payload["averages"]) == {"jct", "execution_time", "queuing_time"}
         assert set(payload["summaries"]) == {"FIFO", "Tiresias"}
 
     def test_sweep_json(self, tmp_path):
-        config = ExperimentConfig(
-            num_gpus=8,
+        spec = ExperimentSpec.scalability(
+            schedulers=("FIFO",),
+            capacities=(8,),
+            seeds=(6,),
             trace=TraceConfig(num_jobs=3, arrival_rate=1.0 / 10.0, convergence_patience=3),
-            seed=6,
-            schedulers={"FIFO": lambda seed: FIFOScheduler()},
         )
-        sweep = run_scalability_sweep(capacities=(8,), base_config=config)
+        sweep = Runner().run(spec)
         path = export_sweep_json(sweep, tmp_path / "sweep.json")
         payload = json.loads(path.read_text())
         assert "8" in payload

@@ -45,10 +45,9 @@ from repro.core.scoring_incremental import (
     fill_idle_decomposed,
     reorder_decomposed,
 )
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
+from repro.experiments.backends import simulate_trace
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 from tests._core_helpers import make_context, make_jobs, scalar_generation, scalar_oracle
 
 
@@ -360,16 +359,13 @@ def test_full_simulation_trajectory_identical(monkeypatch, num_gpus, num_jobs):
     """ONES end to end: the production search and the scalar oracle produce
     the same events, schedules, per-job metrics and makespan over a
     multi-event trace."""
-    config = ExperimentConfig(
-        num_gpus=num_gpus,
-        trace=TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0),
-        seed=2021,
-    )
-    trace = generate_trace(config)
+    trace = TraceGenerator(
+        TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0), seed=2021
+    ).generate()
 
     def run():
-        scheduler = ONESScheduler(seed=config.seed)
-        result = run_single(scheduler, trace, config)
+        scheduler = ONESScheduler(seed=2021)
+        result = simulate_trace(scheduler, trace, num_gpus)
         return result, scheduler.search.scoring_engine.stats()["full_rebuilds"]
 
     with scalar_oracle(monkeypatch):

@@ -28,9 +28,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.ones_scheduler import ONESScheduler
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import generate_trace, run_single
-from repro.workload.trace import TraceConfig
+from repro.experiments.backends import simulate_trace
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "golden_ones_trace.json"
 
@@ -42,14 +41,11 @@ GOLDEN_SEED = 2021
 
 
 def _simulate():
-    config = ExperimentConfig(
-        num_gpus=GOLDEN_NUM_GPUS,
-        trace=TraceConfig(num_jobs=GOLDEN_NUM_JOBS, arrival_rate=1.0 / 30.0),
-        seed=GOLDEN_SEED,
-    )
-    trace = generate_trace(config)
+    trace = TraceGenerator(
+        TraceConfig(num_jobs=GOLDEN_NUM_JOBS, arrival_rate=1.0 / 30.0), seed=GOLDEN_SEED
+    ).generate()
     scheduler = ONESScheduler(seed=GOLDEN_SEED)
-    return run_single(scheduler, trace, config)
+    return simulate_trace(scheduler, trace, GOLDEN_NUM_GPUS)
 
 
 def _snapshot(result) -> dict:

@@ -208,14 +208,3 @@ class TestReconcilerProperties:
         summary = scheduler.describe_state()
         assert summary["partitions"] == 2
         assert summary["assigned_jobs"] == 0  # everything pruned at the end
-
-    def test_parallel_workers_bit_identical_to_sequential(self):
-        sequential, _, seq_result = self._run_recorded(_trace(num_jobs=6))
-        parallel = _Recording(
-            HierarchicalConfig(
-                partition_size=16, ones=_ones_config(), parallel_workers=2
-            ),
-            seed=SEED,
-        )
-        par_result = _run(parallel, _trace(num_jobs=6), num_gpus=32)
-        assert _payload(seq_result) == _payload(par_result)

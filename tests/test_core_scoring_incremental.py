@@ -42,13 +42,12 @@ from repro.core.scoring_incremental import (
     fill_idle_decomposed,
     reorder_decomposed,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.backends import simulate_trace
 from repro.experiments.registry import create_scheduler
-from repro.experiments.runner import generate_trace, run_single
 from repro.faults import FaultConfig, FaultInjection, FaultKind
 from repro.jobs.throughput import ThroughputModel, ThroughputTable
 from repro.sim.simulator import SimulationConfig
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 from tests._core_helpers import make_context, make_jobs, scalar_oracle
 
 IDLE = -1
@@ -295,20 +294,23 @@ class TestTableVersioning:
         assert a.version != b.version
 
     def test_scheduler_reuses_table_between_limit_changes(self):
-        config = ExperimentConfig(
-            num_gpus=16, trace=TraceConfig(num_jobs=8, arrival_rate=1.0 / 20.0), seed=11
-        )
-        trace = generate_trace(config)
+        trace = _trace(num_jobs=8, arrival_interval=20.0, seed=11)
         sched = ONESScheduler(ONESConfig(), seed=11)
-        run_single(sched, trace, config)
+        simulate_trace(sched, trace, 16)
         assert sched.num_table_reuses > 0
 
 
 # --- trajectory parity ---------------------------------------------------------------------------
 
 
-def _trajectory(scheduler, trace, config):
-    result = run_single(scheduler, trace, config)
+def _trace(num_jobs, arrival_interval, seed):
+    return TraceGenerator(
+        TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / arrival_interval), seed=seed
+    ).generate()
+
+
+def _trajectory(scheduler, trace, num_gpus, simulation=None):
+    result = simulate_trace(scheduler, trace, num_gpus, simulation)
     return dict(result.completed), result.incomplete, result.makespan, result.events_processed
 
 
@@ -326,14 +328,14 @@ def _cache_rebuilt_every_generation(monkeypatch):
         yield
 
 
-def _assert_cache_parity(monkeypatch, make_scheduler, trace, config):
+def _assert_cache_parity(monkeypatch, make_scheduler, trace, num_gpus, simulation=None):
     """The delta cache and a per-generation rebuild give one trajectory;
     returns it."""
     with _cache_rebuilt_every_generation(monkeypatch):
         rebuilt_sched = make_scheduler()
-        rebuilt = _trajectory(rebuilt_sched, trace, config)
+        rebuilt = _trajectory(rebuilt_sched, trace, num_gpus, simulation)
     sched = make_scheduler()
-    trajectory = _trajectory(sched, trace, config)
+    trajectory = _trajectory(sched, trace, num_gpus, simulation)
     assert trajectory == rebuilt
     assert rebuilt_sched.describe_state()["scoring_delta_generations"] == 0
     assert sched.describe_state()["scoring_delta_generations"] > 0
@@ -344,17 +346,12 @@ class TestTrajectoryParity:
     @pytest.mark.parametrize("seed", [7, 19, 42])
     def test_unfaulted_incremental_off_scalar(self, monkeypatch, seed):
         """Delta cache == cache rebuilt every generation == scalar oracle."""
-        config = ExperimentConfig(
-            num_gpus=16,
-            trace=TraceConfig(num_jobs=10, arrival_rate=1.0 / 20.0),
-            seed=seed,
-        )
-        trace = generate_trace(config)
+        trace = _trace(num_jobs=10, arrival_interval=20.0, seed=seed)
         trajectory = _assert_cache_parity(
-            monkeypatch, lambda: ONESScheduler(seed=seed), trace, config
+            monkeypatch, lambda: ONESScheduler(seed=seed), trace, 16
         )
         with scalar_oracle(monkeypatch):
-            assert _trajectory(ONESScheduler(seed=seed), trace, config) == trajectory
+            assert _trajectory(ONESScheduler(seed=seed), trace, 16) == trajectory
 
     @pytest.mark.parametrize("seed", [5, 23])
     def test_faulted_node_compaction_parity(self, monkeypatch, seed):
@@ -366,15 +363,10 @@ class TestTrajectoryParity:
                 FaultInjection(500.0, FaultKind.NODE_UP, 1),
             )
         )
-        config = ExperimentConfig(
-            num_gpus=16,
-            trace=TraceConfig(num_jobs=8, arrival_rate=1.0 / 15.0),
-            simulation=SimulationConfig(faults=faults),
-            seed=seed,
-        )
-        trace = generate_trace(config)
+        trace = _trace(num_jobs=8, arrival_interval=15.0, seed=seed)
         _assert_cache_parity(
-            monkeypatch, lambda: ONESScheduler(seed=seed), trace, config
+            monkeypatch, lambda: ONESScheduler(seed=seed), trace, 16,
+            SimulationConfig(faults=faults),
         )
 
     @pytest.mark.parametrize("seed", [9, 31])
@@ -382,15 +374,10 @@ class TestTrajectoryParity:
         """ones-hier swaps per-partition views every event — each shard's
         engine must invalidate/rebuild correctly and match a cache
         rebuilt every generation."""
-        config = ExperimentConfig(
-            num_gpus=32,
-            trace=TraceConfig(num_jobs=12, arrival_rate=1.0 / 15.0),
-            seed=seed,
-        )
-        trace = generate_trace(config)
+        trace = _trace(num_jobs=12, arrival_interval=15.0, seed=seed)
         _assert_cache_parity(
             monkeypatch,
             lambda: create_scheduler("ONES-hier", seed, partition_size=16),
             trace,
-            config,
+            32,
         )

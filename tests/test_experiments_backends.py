@@ -22,7 +22,7 @@ from repro.experiments.backends import (
 from repro.experiments.orchestrator import Runner, run_experiment
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.sim.simulator import SimulationConfig
-from repro.workload.trace import TraceConfig
+from repro.workload.trace import TraceConfig, TraceGenerator
 
 TINY_TRACE = TraceConfig(num_jobs=3, arrival_rate=1.0 / 10.0, convergence_patience=3)
 TINY_SIM = SimulationConfig(max_time=24 * 3600.0)
@@ -143,22 +143,24 @@ class TestSweepArtifact:
         assert restored.spec == sweep.spec
         assert restored.runs == sweep.runs
 
-    def test_to_comparisons_requires_single_seed(self, sweep):
-        with pytest.raises(ValueError, match="single-seed"):
-            sweep.to_comparisons()
+    def test_results_for_slices_one_capacity_and_seed(self, sweep):
+        for seed in (7, 9):
+            results = sweep.results_for(8, seed=seed)
+            assert list(results) == ["ONES", "FIFO"]  # grid order
+            for name, result in results.items():
+                assert result == sweep.get(name, seed=seed).result
+        # The seed defaults to the grid's first one.
+        assert sweep.results_for(8) == sweep.results_for(8, seed=7)
+        with pytest.raises(KeyError):
+            sweep.results_for(16)
 
-    def test_to_comparisons_bridges_to_legacy_shape(self):
-        sweep = run_experiment(tiny_grid(seeds=(7,)))
-        comparisons = sweep.to_comparisons()
-        assert set(comparisons) == {8}
-        comparison = comparisons[8]
-        assert set(comparison.results) == {"ONES", "FIFO"}
-        assert comparison.config.num_gpus == 8
-        assert len(comparison.trace) == 3
-        averages = comparison.averages("jct")
-        assert averages["ONES"] == pytest.approx(sweep.get("ONES", seed=7).mean("jct"))
-        assert set(comparison.improvements("ONES")) == {"FIFO"}
-        assert comparison.artifacts["FIFO"] is sweep.get("FIFO", seed=7)
+    def test_every_scheduler_in_a_comparison_sees_the_same_trace(self):
+        spec = tiny_grid(schedulers=("ONES", "FIFO", "Tiresias"), seeds=(7,))
+        trace = TraceGenerator(TINY_TRACE, seed=7).generate()
+        results = run_experiment(spec).results_for(8)
+        assert list(results) == ["ONES", "FIFO", "Tiresias"]
+        for result in results.values():
+            assert set(result.completed) == {job.job_id for job in trace}
 
 
 class TestRunnerCaching:

@@ -3,25 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.core.evolution import EvolutionConfig
-from repro.core.ones_scheduler import ONESConfig, ONESScheduler
-from repro.baselines.tiresias import TiresiasScheduler
 from repro.experiments import figures
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.spec import ExperimentSpec
+from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig
 
 
 @pytest.fixture
-def small_config():
-    config = ExperimentConfig.small(num_gpus=8, num_jobs=5, seed=21)
-    config.trace = TraceConfig(num_jobs=5, arrival_rate=1.0 / 10.0, convergence_patience=3)
-    config.schedulers = {
-        "ONES": lambda seed: ONESScheduler(
-            ONESConfig(evolution=EvolutionConfig(population_size=4)), seed=seed
-        ),
-        "Tiresias": lambda seed: TiresiasScheduler(),
-    }
-    return config
+def small_spec():
+    return ExperimentSpec.comparison(
+        schedulers=("ONES", "Tiresias"),
+        num_gpus=8,
+        seed=21,
+        trace=TraceConfig(num_jobs=5, arrival_rate=1.0 / 10.0, convergence_patience=3),
+        simulation=SimulationConfig(max_time=24 * 3600.0),
+        scheduler_options={"ONES": {"population_size": 4}},
+    )
 
 
 class TestFigure2:
@@ -76,14 +73,14 @@ class TestFigure16:
 
 
 class TestFigure15SmallScale:
-    def test_comparison_payload_structure(self, small_config):
-        payload = figures.figure15_comparison(small_config)
+    def test_comparison_payload_structure(self, small_spec):
+        payload = figures.figure15_comparison(small_spec)
         assert set(payload["averages_jct"]) == {"ONES", "Tiresias"}
         assert "table4" in payload
         assert "Tiresias" in payload["table4"]
         assert 0.0 <= payload["fraction_within_200s"]["ONES"] <= 1.0
 
-    def test_ones_wins_on_average_jct(self, small_config):
-        payload = figures.figure15_comparison(small_config)
+    def test_ones_wins_on_average_jct(self, small_spec):
+        payload = figures.figure15_comparison(small_spec)
         averages = payload["averages_jct"]
         assert averages["ONES"] <= averages["Tiresias"]

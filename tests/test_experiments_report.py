@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.baselines.fifo import FIFOScheduler
-from repro.baselines.tiresias import TiresiasScheduler
 from repro.experiments.artifacts import SweepArtifact, dead_cell_artifact
 from repro.experiments.backends import execute_run
-from repro.experiments.config import ExperimentConfig
 from repro.experiments.orchestrator import Runner
 from repro.experiments.report import (
     build_comparison_report,
     build_sweep_report,
     write_comparison_report,
 )
-from repro.experiments.runner import run_comparison
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import FaultConfig
 from repro.workload.trace import TraceConfig
@@ -21,21 +17,18 @@ from repro.workload.trace import TraceConfig
 
 @pytest.fixture(scope="module")
 def comparison():
-    config = ExperimentConfig(
+    spec = ExperimentSpec.comparison(
+        schedulers=("FIFO", "Tiresias"),
         num_gpus=8,
-        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
         seed=11,
-        schedulers={
-            "FIFO": lambda seed: FIFOScheduler(),
-            "Tiresias": lambda seed: TiresiasScheduler(),
-        },
+        trace=TraceConfig(num_jobs=4, arrival_rate=1.0 / 10.0, convergence_patience=3),
     )
-    return run_comparison(config)
+    return Runner().run(spec)
 
 
 class TestBuildReport:
     def test_contains_all_sections(self, comparison):
-        report = build_comparison_report(comparison, reference="FIFO")
+        report = build_comparison_report(comparison, 8, reference="FIFO")
         assert report.startswith("# Scheduler comparison report")
         assert "## Average metrics" in report
         assert "## JCT distribution" in report
@@ -43,16 +36,16 @@ class TestBuildReport:
         assert "## Cluster telemetry" in report
 
     def test_lists_every_scheduler(self, comparison):
-        report = build_comparison_report(comparison, reference="FIFO")
+        report = build_comparison_report(comparison, 8, reference="FIFO")
         assert "FIFO" in report and "Tiresias" in report
 
     def test_reference_missing_skips_comparison_section(self, comparison):
-        report = build_comparison_report(comparison, reference="ONES")
+        report = build_comparison_report(comparison, 8, reference="ONES")
         assert "## ONES vs the baselines" not in report
         assert "## Average metrics" in report
 
     def test_markdown_tables_are_well_formed(self, comparison):
-        report = build_comparison_report(comparison, reference="FIFO")
+        report = build_comparison_report(comparison, 8, reference="FIFO")
         table_lines = [l for l in report.splitlines() if l.startswith("|")]
         assert table_lines
         # Every table row has the same number of columns as its header.
@@ -61,7 +54,7 @@ class TestBuildReport:
 
 class TestWriteReport:
     def test_writes_file(self, comparison, tmp_path):
-        path = write_comparison_report(comparison, tmp_path / "report.md", reference="FIFO")
+        path = write_comparison_report(comparison, 8, tmp_path / "report.md", reference="FIFO")
         assert path.exists()
         assert path.read_text().startswith("# Scheduler comparison report")
 

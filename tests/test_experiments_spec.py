@@ -88,6 +88,13 @@ class TestExperimentSpec:
         ]
         assert all(c.num_gpus == 16 for c in cells[4:])
 
+    def test_expand_carries_shared_fields_to_every_cell(self):
+        spec = self.make()
+        for cell in spec.expand():
+            assert cell.trace == TINY_TRACE
+            assert cell.simulation is spec.simulation
+            assert cell.seed in spec.seeds
+
     def test_expand_applies_per_scheduler_options(self):
         cells = self.make().expand()
         for cell in cells:
@@ -123,6 +130,13 @@ class TestExperimentSpec:
         assert [c.cell_key() for c in restored.expand()] == [
             c.cell_key() for c in spec.expand()
         ]
+
+    def test_comparison_defaults_match_paper_setup(self):
+        spec = ExperimentSpec.comparison()
+        assert spec.schedulers == ("ONES", "DRL", "Tiresias", "Optimus")
+        assert spec.capacities == (64,)
+        assert spec.seeds == (2021,)
+        assert spec.traces[0].num_jobs == 50
 
     def test_convenience_constructors(self):
         comparison = ExperimentSpec.comparison(num_gpus=32, seed=5)

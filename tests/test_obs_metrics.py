@@ -132,11 +132,6 @@ class TestPrometheusRendering:
 
 
 class TestLatencyHistogramRelocation:
-    def test_service_engine_reexports_latency_histogram(self):
-        from repro.service.engine import LatencyHistogram as ServiceHistogram
-
-        assert ServiceHistogram is LatencyHistogram
-
     def test_bucket_edges_match_counts_layout(self):
         hist = LatencyHistogram()
         edges = hist.bucket_edges()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service.engine import LatencyHistogram, SchedulerService
+from repro.obs.metrics import LatencyHistogram
+from repro.service.engine import SchedulerService
 from repro.service.schemas import JobSubmission, ServiceConfig, TenantQuota
 
 
