@@ -6,9 +6,9 @@ the scalar reference (one Python loop per candidate, one throughput
 lookup per (job, candidate) pair) against the vectorised engine (one
 ``bincount`` + one ``ThroughputTable`` gather) at every benchmark
 scale, asserting bit-identical scores.  It then times whole simulations:
-the event loop under both GPR refit policies, the fault subsystem's
-dormant cost, the hierarchical scheduler at 256 GPUs and the trace
-recorder's dormant cost.  Everything lands in
+the event loop with its GPR-refit share, the fault subsystem's dormant
+cost, the hierarchical scheduler at 256 GPUs and the trace recorder's
+dormant cost.  Everything lands in
 ``benchmarks/results/BENCH_scoring.json`` so the perf trajectory is
 machine-readable across changes.  Run with ``PYTHONPATH=src python -m
 benchmarks.bench_perf_scoring`` or through pytest.
@@ -86,52 +86,37 @@ EVENT_LOOP_CONFIGS = ((16, 10), (64, 40))
 
 
 def _bench_event_loop() -> Dict[str, Dict]:
-    """Kernel + GPR-policy wall-clock of full ONES simulations.
+    """Kernel + GPR-refit wall-clock of full ONES simulations.
 
-    Times the simulation engine end to end under the two predictor
-    policies: ``default`` is the paper-faithful full-refit-per-completion
-    path (trajectory-pinned to the PR 3 baseline by the golden-trace and
-    differential parity suites — only faster), ``incremental_gpr`` is the
-    rank-1-update policy (``refit_policy="incremental"``), which trades
-    bounded predictor staleness for long-trace throughput.  Profiling is
-    on, so the GPR-refit share of every run is recorded.
+    Times the paper-faithful full-refit-per-completion path end to end
+    (trajectory-pinned by the golden-trace and differential parity
+    suites).  Profiling is on, so the GPR-refit share of every run is
+    recorded.
     """
     records: Dict[str, Dict] = {}
     for num_gpus, num_jobs in EVENT_LOOP_CONFIGS:
         trace_config = TraceConfig(num_jobs=num_jobs, arrival_rate=1.0 / 30.0)
         trace = TraceGenerator(trace_config, seed=SEED).generate()
-        row: Dict[str, Dict] = {}
-        for label, options in (
-            ("default", {}),
-            ("incremental_gpr", {"refit_policy": "incremental"}),
-        ):
-            scheduler = create_scheduler("ONES", SEED, **options)
-            start = perf_counter()
-            result = simulate_trace(
-                scheduler, trace, num_gpus, SimulationConfig(collect_profile=True)
-            )
-            elapsed = perf_counter() - start
-            # Total GPR cost = full refits + rank-1 appends, so the share
-            # is honest for the incremental policy too.
-            refit = result.profile.get("gpr_refit_seconds", 0.0) + result.profile.get(
-                "gpr_partial_fit_seconds", 0.0
-            )
-            row[label] = {
+        scheduler = create_scheduler("ONES", SEED)
+        start = perf_counter()
+        result = simulate_trace(
+            scheduler, trace, num_gpus, SimulationConfig(collect_profile=True)
+        )
+        elapsed = perf_counter() - start
+        refit = result.profile.get("gpr_refit_seconds", 0.0)
+        records[f"{num_gpus}x{num_jobs}"] = {
+            "num_gpus": num_gpus,
+            "num_jobs": num_jobs,
+            "default": {
                 "seconds": round(elapsed, 3),
                 "events": result.events_processed,
                 "events_per_sec": round(result.events_processed / elapsed, 1),
                 "gpr_refit_seconds": round(refit, 3),
                 "gpr_refit_share": round(refit / elapsed, 3),
                 "gpr_full_fits": scheduler.predictor.fit_count,
-                "gpr_partial_fits": scheduler.predictor.partial_fit_count,
                 "completed": len(result.completed),
                 "average_jct": round(result.average_jct, 1),
-            }
-        records[f"{num_gpus}x{num_jobs}"] = {
-            "num_gpus": num_gpus,
-            "num_jobs": num_jobs,
-            **row,
-            "speedup": round(row["default"]["seconds"] / row["incremental_gpr"]["seconds"], 2),
+            },
         }
     return records
 
@@ -388,18 +373,12 @@ def run() -> Dict:
             f"{row['vectorized_candidates_per_sec']:>14,.0f} "
             f"{row['speedup']:>7.1f}x"
         )
-    lines += ["", "Event loop: default (paper-exact) vs incremental-GPR policy", ""]
-    lines.append(
-        f"{'scale':<8} {'default ev/s':>13} {'incr ev/s':>10} "
-        f"{'refit share':>12} {'-> share':>9} {'speedup':>8}"
-    )
+    lines += ["", "Event loop: paper-exact GPR refit per completion", ""]
+    lines.append(f"{'scale':<8} {'default ev/s':>13} {'refit share':>12}")
     for key, row in event_loop.items():
         lines.append(
             f"{key:<8} {row['default']['events_per_sec']:>13,.0f} "
-            f"{row['incremental_gpr']['events_per_sec']:>10,.0f} "
-            f"{row['default']['gpr_refit_share']:>11.0%} "
-            f"{row['incremental_gpr']['gpr_refit_share']:>8.0%} "
-            f"{row['speedup']:>7.1f}x"
+            f"{row['default']['gpr_refit_share']:>11.0%}"
         )
     lines += [
         "",
@@ -452,29 +431,15 @@ def run() -> Dict:
 
 class TestScoringPerf:
     def test_vectorized_scoring_speedup(self):
-        results = run()["scales"]
+        record = run()
+        results = record["scales"]
         # The acceptance target: >= 10x on medium-scale population scoring.
         assert results["medium"]["speedup"] >= 10.0
         for row in results.values():
             assert row["table_entries"] <= row["table_capacity"]
-
-    def test_event_loop_incremental_gpr_speedup(self):
-        row = run()["event_loop"]["64x40"]
-        # PR 4 acceptance: the incremental-GPR policy doubles end-to-end
-        # ONES wall-clock at 64 GPUs / 40 jobs.  The "default" side is
-        # the PR 3 trajectory (pinned bit-identical by the parity
-        # suites), itself already faster than the PR 3 build — so this
-        # in-bench ratio *understates* the speedup vs the true PR 3
-        # baseline.  Gated below 2.0 only for machine noise.
-        assert row["speedup"] >= 1.7
-        # The GPR-refit share must drop measurably.
-        assert (
-            row["incremental_gpr"]["gpr_refit_share"]
-            < 0.5 * row["default"]["gpr_refit_share"]
-        )
-        # Both runs finish the whole trace.
-        assert row["default"]["completed"] == row["num_jobs"]
-        assert row["incremental_gpr"]["completed"] == row["num_jobs"]
+        # The paper-exact event loop finishes the whole trace.
+        for row in record["event_loop"].values():
+            assert row["default"]["completed"] == row["num_jobs"]
 
     def test_hierarchical_scale_budget(self):
         row = run()["scale"]["quick"]

@@ -20,7 +20,6 @@ from repro.analysis.reporting import (
     ascii_bar_chart,
     ascii_cdf,
     format_table,
-    render_comparison,
 )
 from repro.analysis.export import (
     export_comparison_csv,
@@ -47,5 +46,4 @@ __all__ = [
     "ascii_bar_chart",
     "ascii_cdf",
     "format_table",
-    "render_comparison",
 ]

@@ -100,19 +100,3 @@ def ascii_series(
             row[name] = float(ys[i])
         rows.append(row)
     return format_table(rows, columns=[x_label] + list(series.keys()))
-
-
-def render_comparison(
-    title: str,
-    averages: Mapping[str, float],
-    unit: str = "s",
-    improvements: Optional[Mapping[str, float]] = None,
-) -> str:
-    """Standard block used by the Fig. 15 benches: title, bars, improvements."""
-    lines = [title, "=" * len(title), ascii_bar_chart(dict(averages), unit=unit)]
-    if improvements:
-        lines.append("")
-        lines.append("Improvement of the first entry over each baseline:")
-        for name, value in improvements.items():
-            lines.append(f"  vs {name}: {100.0 * value:.1f}%")
-    return "\n".join(lines)

@@ -9,8 +9,7 @@ nodes.  This subpackage provides the simulated equivalent:
   and GPUs with intra-/inter-node bandwidths (backed by a networkx graph).
 * :mod:`repro.cluster.allocation` — a concrete assignment of GPU workers
   (with local batch sizes) to jobs.
-* :mod:`repro.cluster.placement` — locality/fragmentation measures and
-  worker-packing helpers used by the reorder operator.
+* :mod:`repro.cluster.placement` — locality/fragmentation measures.
 * :mod:`repro.cluster.events` — the discrete-event queue.
 """
 
@@ -21,7 +20,6 @@ from repro.cluster.events import Event, EventKind, EventQueue
 from repro.cluster.placement import (
     fragmentation,
     nodes_spanned,
-    pack_workers,
     placement_quality,
 )
 
@@ -39,6 +37,5 @@ __all__ = [
     "EventQueue",
     "fragmentation",
     "nodes_spanned",
-    "pack_workers",
     "placement_quality",
 ]

@@ -1,16 +1,15 @@
-"""Placement quality measures and worker packing.
+"""Placement quality measures.
 
 The evolution operators of ONES can scatter a job's workers across
 servers; the *reorder* operator (Fig. 10) re-packs workers of the same
-job onto contiguous GPUs, in order of each job's first occurrence, so
-that all-reduce rings stay inside a server whenever possible.  The
-helpers here implement that packing and the locality/fragmentation
-measures used by reports and tests.
+job onto contiguous GPUs so that all-reduce rings stay inside a server
+whenever possible.  The helpers here measure the resulting locality and
+fragmentation for reports and tests.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,66 +57,3 @@ def fragmentation(topology: ClusterTopology, free_gpu_ids: Sequence[int]) -> flo
     if worst_nodes == minimal_nodes:
         return 0.0
     return (actual_nodes - minimal_nodes) / (worst_nodes - minimal_nodes)
-
-
-def pack_workers(
-    gpu_order: Sequence[int],
-    workers_per_job: Dict[str, List[Tuple[int, int]]],
-    job_order: Sequence[str],
-) -> Dict[int, Tuple[str, int]]:
-    """Re-pack workers contiguously in ``job_order`` over ``gpu_order``.
-
-    Parameters
-    ----------
-    gpu_order:
-        GPU ids in the order they should be filled (typically ascending,
-        which groups GPUs of the same server together).
-    workers_per_job:
-        ``{job_id: [(old_gpu, local_batch), ...]}`` — the workers to place.
-    job_order:
-        Order of first occurrence of each job, which the reorder operator
-        preserves (Fig. 10).
-
-    Returns
-    -------
-    dict
-        ``{gpu_id: (job_id, local_batch)}`` with each job's workers on a
-        contiguous run of ``gpu_order``.
-    """
-    total_workers = sum(len(ws) for ws in workers_per_job.values())
-    if total_workers > len(gpu_order):
-        raise ValueError(
-            f"cannot pack {total_workers} workers onto {len(gpu_order)} GPUs"
-        )
-    missing = [j for j in workers_per_job if j not in set(job_order)]
-    if missing:
-        raise ValueError(f"job_order is missing jobs: {missing}")
-    packed: Dict[int, Tuple[str, int]] = {}
-    cursor = 0
-    for job_id in job_order:
-        workers = workers_per_job.get(job_id, [])
-        # Keep each worker's local batch; only the GPU binding changes.
-        for _, local_batch in workers:
-            packed[int(gpu_order[cursor])] = (job_id, int(local_batch))
-            cursor += 1
-    return packed
-
-
-def contiguous_runs(gpu_ids: Sequence[int]) -> List[Tuple[int, int]]:
-    """Collapse sorted GPU ids into ``(start, length)`` runs.
-
-    Useful for printing compact placement summaries in reports.
-    """
-    ids = sorted(int(g) for g in gpu_ids)
-    if not ids:
-        return []
-    runs: List[Tuple[int, int]] = []
-    start = prev = ids[0]
-    for gpu in ids[1:]:
-        if gpu == prev + 1:
-            prev = gpu
-            continue
-        runs.append((start, prev - start + 1))
-        start = prev = gpu
-    runs.append((start, prev - start + 1))
-    return runs

@@ -54,9 +54,6 @@ class ONESConfig:
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     batch_limits: BatchLimitConfig = field(default_factory=BatchLimitConfig)
-    #: Allow immediate placement of pending jobs onto idle GPUs between
-    #: full schedule updates.
-    immediate_fill: bool = True
     #: Bound on the cross-invocation throughput memo (model evaluations
     #: keyed by (model, global batch, worker count, crosses servers)).
     throughput_memo_entries: int = 65536
@@ -322,21 +319,19 @@ class ONESScheduler(SchedulerBase):
             self.num_full_updates += 1
             return allocation
 
-        if self.config.immediate_fill:
-            filled = self._incremental_fill(state, ctx)
-            if filled is not None:
-                self.num_incremental_fills += 1
-                tracer = active_tracer()
-                if tracer is not None:
-                    tracer.event(
-                        "incremental_fill",
-                        "ones",
-                        state.now,
-                        shard=self.trace_label,
-                        placed_jobs=len(filled.jobs()),
-                    )
-                return filled
-        return None
+        filled = self._incremental_fill(state, ctx)
+        if filled is not None:
+            self.num_incremental_fills += 1
+            tracer = active_tracer()
+            if tracer is not None:
+                tracer.event(
+                    "incremental_fill",
+                    "ones",
+                    state.now,
+                    shard=self.trace_label,
+                    placed_jobs=len(filled.jobs()),
+                )
+        return filled
 
     def _trace_decision(self, tracer, span, now, score, stats_before, deployed):
         """Emit the per-generation, cache-delta and decision records.
@@ -434,17 +429,16 @@ class ONESScheduler(SchedulerBase):
 
         The simulator merges these into ``SimulationResult.profile`` when
         the run was configured with ``collect_profile=True``, which is
-        how the GPR-refit share of a run becomes measurable.  The
+        how the GPR-refit share of a run becomes measurable:
+        ``gpr_refit`` is the wall-clock of the predictor's full refit
+        after every job completion (§3.2.1).  The
         ``evo_*`` operator phases and the ``rescore_full`` /
         ``rescore_delta`` attribution come from the generation loop
         (see :func:`repro.core.evolution_batched.run_generation`), so a
         ``--profile`` run shows exactly where a generation's wall-clock
         goes and how much of it the delta-scoring cache absorbed.
         """
-        phases = {
-            "gpr_refit": self.predictor.refit_seconds,
-            "gpr_partial_fit": self.predictor.partial_fit_seconds,
-        }
+        phases = {"gpr_refit": self.predictor.refit_seconds}
         phases.update(self.search.phase_seconds)
         return phases
 
@@ -461,7 +455,6 @@ class ONESScheduler(SchedulerBase):
             "population_size": self.search.population_size,
             "iterations_run": self.search.iterations_run,
             "predictor_fits": self.predictor.fit_count,
-            "predictor_partial_fits": self.predictor.partial_fit_count,
             "tracked_limits": len(self.limiter.limits()),
             "throughput_memo_entries": len(self._throughput_memo),
         }
@@ -481,12 +474,7 @@ class ONESScheduler(SchedulerBase):
     def describe_state(self) -> Dict[str, object]:
         """Debug summary used in logs and the quickstart example.
 
-        Numeric fields come from :meth:`metrics_registry` so the CLI,
-        the service ``/metrics`` op and this summary can never drift;
-        only the non-numeric configuration is added by hand.
+        Every field comes from :meth:`metrics_registry` so the CLI, the
+        service ``/metrics`` op and this summary can never drift.
         """
-        summary: Dict[str, object] = {
-            "refit_policy": self.config.predictor.refit_policy,
-        }
-        summary.update(self.metrics_registry().values())
-        return summary
+        return dict(self.metrics_registry().values())

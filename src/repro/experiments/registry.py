@@ -42,7 +42,6 @@ from repro.baselines.tiresias import TiresiasScheduler
 from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
-from repro.prediction.predictor import PredictorConfig
 
 #: Factory signature: ``(seed, **options) -> SchedulerBase``.
 SchedulerFactory = Callable[..., SchedulerBase]
@@ -204,17 +203,14 @@ def _make_ones(
     mutation_rate: Optional[float] = None,
     crossover_pairs: Optional[int] = None,
     iterations_per_invocation: Optional[int] = None,
-    refit_policy: Optional[str] = None,
-    refit_interval: Optional[int] = None,
 ) -> ONESScheduler:
     """ONES factory.
 
     ``config``/``evolution`` take full configuration objects (programmatic
     use); the scalar options are JSON-friendly shortcuts for the common
-    evolution knobs so declarative specs can scale the search down, plus
-    the GPR ``refit_policy``/``refit_interval`` pair so sweeps can trade
-    predictor freshness for long-trace throughput (see
-    :class:`~repro.prediction.predictor.PredictorConfig`).
+    evolution knobs so declarative specs can scale the search down.  The
+    progress predictor always runs the paper's refit-per-completion
+    (:class:`~repro.prediction.predictor.PredictorConfig` defaults).
     """
     if config is None:
         if evolution is None:
@@ -228,15 +224,7 @@ def _make_ones(
             if iterations_per_invocation is not None:
                 overrides["iterations_per_invocation"] = int(iterations_per_invocation)
             evolution = EvolutionConfig(**overrides)
-        predictor_overrides: Dict[str, object] = {}
-        if refit_policy is not None:
-            predictor_overrides["refit_policy"] = str(refit_policy)
-        if refit_interval is not None:
-            predictor_overrides["refit_interval"] = int(refit_interval)
-        config = ONESConfig(
-            evolution=evolution,
-            predictor=PredictorConfig(**predictor_overrides),
-        )
+        config = ONESConfig(evolution=evolution)
     return ONESScheduler(config, seed=seed)
 
 
@@ -257,8 +245,6 @@ def _make_ones_hier(
     mutation_rate: Optional[float] = None,
     crossover_pairs: Optional[int] = None,
     iterations_per_invocation: Optional[int] = None,
-    refit_policy: Optional[str] = None,
-    refit_interval: Optional[int] = None,
 ) -> HierarchicalONESScheduler:
     """Hierarchical ONES factory.
 
@@ -275,8 +261,6 @@ def _make_ones_hier(
             mutation_rate=mutation_rate,
             crossover_pairs=crossover_pairs,
             iterations_per_invocation=iterations_per_invocation,
-            refit_policy=refit_policy,
-            refit_interval=refit_interval,
         ).config
         overrides: Dict[str, object] = {"ones": inner}
         if partition_size is not None:

@@ -40,24 +40,3 @@ def warmup_factor(step: int, warmup_steps: int) -> float:
     if warmup_steps == 0:
         return 1.0
     return min(1.0, (step + 1) / float(warmup_steps))
-
-
-def scaled_lr_with_warmup(
-    base_lr: float,
-    base_batch: int,
-    new_batch: int,
-    step: int,
-    warmup_steps: int = 0,
-    rule: str = "linear",
-) -> float:
-    """Learning rate after batch-size scaling, including warmup.
-
-    ``rule`` selects between ``"linear"`` and ``"sqrt"`` scaling.
-    """
-    if rule == "linear":
-        lr = linear_scaled_lr(base_lr, base_batch, new_batch)
-    elif rule == "sqrt":
-        lr = sqrt_scaled_lr(base_lr, base_batch, new_batch)
-    else:
-        raise ValueError(f"unknown scaling rule {rule!r}; use 'linear' or 'sqrt'")
-    return lr * warmup_factor(step, warmup_steps)

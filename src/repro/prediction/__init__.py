@@ -29,13 +29,11 @@ from repro.prediction.gpr import GaussianProcessRegression
 from repro.prediction.predictor import ProgressPredictor, PredictorConfig
 from repro.prediction.evaluation import (
     PredictorEvaluation,
-    cross_validate_backends,
     evaluate_predictor,
 )
 
 __all__ = [
     "PredictorEvaluation",
-    "cross_validate_backends",
     "evaluate_predictor",
     "BetaDistribution",
     "FEATURE_NAMES",

@@ -18,8 +18,8 @@ from repro.prediction.beta import BetaDistribution
 from repro.prediction.features import feature_vector
 from repro.prediction.history import examples_from_job
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_in_range, check_positive_int
+from repro.utils.rng import SeedLike
+from repro.utils.validation import check_in_range
 
 
 @dataclass(frozen=True)
@@ -117,51 +117,3 @@ def evaluate_predictor(
         mean_interval_width=float(np.mean(widths)),
         interval_coverage=float(np.mean(covered)),
     )
-
-
-def cross_validate_backends(
-    jobs: Sequence[Job],
-    backends: Sequence[str] = ("gpr", "blr"),
-    folds: int = 3,
-    seed: SeedLike = 0,
-) -> Dict[str, PredictorEvaluation]:
-    """K-fold comparison of predictor backends over a pool of completed jobs.
-
-    Returns the evaluation of each backend averaged over folds (the fold
-    with the most evaluation points breaks ties for the reported object).
-    """
-    check_positive_int(folds, "folds")
-    jobs = [job for job in jobs if job.is_completed]
-    if len(jobs) < max(2, folds):
-        raise ValueError(
-            f"need at least {max(2, folds)} completed jobs for {folds}-fold evaluation"
-        )
-    rng = as_generator(seed)
-    order = list(rng.permutation(len(jobs)))
-    fold_assignment = [order[i::folds] for i in range(folds)]
-
-    results: Dict[str, PredictorEvaluation] = {}
-    for backend in backends:
-        maes, rmses, widths, coverages, points = [], [], [], [], []
-        for fold in range(folds):
-            eval_idx = set(fold_assignment[fold])
-            train = [jobs[i] for i in range(len(jobs)) if i not in eval_idx]
-            evaluate = [jobs[i] for i in sorted(eval_idx)]
-            if not train or not evaluate:
-                continue
-            evaluation = evaluate_predictor(train, evaluate, backend=backend, seed=rng)
-            maes.append(evaluation.mae_epochs_remaining)
-            rmses.append(evaluation.rmse_epochs_remaining)
-            widths.append(evaluation.mean_interval_width)
-            coverages.append(evaluation.interval_coverage)
-            points.append(evaluation.num_eval_points)
-        results[backend] = PredictorEvaluation(
-            backend=backend,
-            num_train_jobs=len(jobs),
-            num_eval_points=int(np.sum(points)) if points else 0,
-            mae_epochs_remaining=float(np.mean(maes)) if maes else float("nan"),
-            rmse_epochs_remaining=float(np.mean(rmses)) if rmses else float("nan"),
-            mean_interval_width=float(np.mean(widths)) if widths else float("nan"),
-            interval_coverage=float(np.mean(coverages)) if coverages else float("nan"),
-        )
-    return results

@@ -3,8 +3,8 @@
 The headline metrics (JCT / execution / queuing time) compress a whole
 run into three numbers.  For debugging scheduler behaviour — and for the
 cluster-timeline example — it is useful to reconstruct *how* the cluster
-was used over time: how many GPUs were busy at each instant, which jobs
-held which GPUs, and how each job's batch size evolved.
+was used over time: how many GPUs were busy at each instant and which
+jobs held which GPUs.
 
 All of this can be derived after the fact from the :class:`Job` records
 kept by the simulator (run intervals, batch history, epoch records), so
@@ -90,28 +90,6 @@ def utilization_timeline(
     """Cluster utilisation (busy fraction of GPUs) over time."""
     times, busy = busy_gpu_timeline(result, num_points)
     return times, busy / max(result.num_gpus, 1)
-
-
-def batch_size_timeline(job: Job) -> Tuple[np.ndarray, np.ndarray]:
-    """Step-wise global batch size of one job over time."""
-    if not job.batch_history:
-        return np.zeros(0), np.zeros(0)
-    times = np.asarray([t for t, _ in job.batch_history], dtype=float)
-    batches = np.asarray([b for _, b in job.batch_history], dtype=float)
-    return times, batches
-
-
-def gpu_count_timeline(job: Job) -> Tuple[np.ndarray, np.ndarray]:
-    """Step-wise GPU count of one job over time (from its run intervals)."""
-    times: List[float] = []
-    counts: List[float] = []
-    for interval in job.run_intervals:
-        times.append(interval.start)
-        counts.append(float(interval.num_gpus))
-        if interval.end is not None:
-            times.append(interval.end)
-            counts.append(0.0)
-    return np.asarray(times), np.asarray(counts)
 
 
 @dataclass(frozen=True)

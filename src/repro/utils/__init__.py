@@ -18,7 +18,6 @@ from repro.utils.units import (
     MILLISECOND,
     MINUTE,
     HOUR,
-    format_bytes,
     format_duration,
 )
 from repro.utils.validation import (
@@ -26,12 +25,10 @@ from repro.utils.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 from repro.utils.stats import (
     SummaryStats,
     cumulative_frequency,
-    percentile_summary,
     summarize,
 )
 
@@ -48,15 +45,12 @@ __all__ = [
     "MILLISECOND",
     "MINUTE",
     "HOUR",
-    "format_bytes",
     "format_duration",
     "check_in_range",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
     "SummaryStats",
     "cumulative_frequency",
-    "percentile_summary",
     "summarize",
 ]

@@ -10,7 +10,7 @@ are derived identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -67,16 +67,6 @@ def summarize(values: Iterable[float]) -> SummaryStats:
         p75=float(np.percentile(arr, 75)),
         maximum=float(np.max(arr)),
     )
-
-
-def percentile_summary(
-    values: Iterable[float], percentiles: Sequence[float] = (50, 90, 95, 99)
-) -> dict:
-    """Return ``{percentile: value}`` for the requested percentiles."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return {float(p): float(np.percentile(arr, p)) for p in percentiles}
 
 
 def cumulative_frequency(

@@ -9,20 +9,7 @@ numerical error; these helpers centralise the checks.
 from __future__ import annotations
 
 from numbers import Real
-from typing import Any, Optional, Tuple, Type, Union
-
-
-def check_type(value: Any, types: Union[Type, Tuple[Type, ...]], name: str) -> Any:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        if isinstance(types, tuple):
-            expected = ", ".join(t.__name__ for t in types)
-        else:
-            expected = types.__name__
-        raise TypeError(
-            f"{name} must be of type {expected}, got {type(value).__name__}"
-        )
-    return value
+from typing import Any, Optional
 
 
 def check_positive(value: Real, name: str) -> float:

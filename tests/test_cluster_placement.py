@@ -3,10 +3,8 @@
 import pytest
 
 from repro.cluster.placement import (
-    contiguous_runs,
     fragmentation,
     nodes_spanned,
-    pack_workers,
     placement_quality,
 )
 
@@ -38,35 +36,3 @@ class TestFragmentation:
 class TestNodesSpanned:
     def test_delegates_to_topology(self, small_topology):
         assert nodes_spanned(small_topology, [0, 7]) == 2
-
-
-class TestPackWorkers:
-    def test_packs_in_job_order(self):
-        packed = pack_workers(
-            gpu_order=[0, 1, 2, 3],
-            workers_per_job={"a": [(3, 8), (1, 8)], "b": [(0, 4)]},
-            job_order=["a", "b"],
-        )
-        assert packed == {0: ("a", 8), 1: ("a", 8), 2: ("b", 4)}
-
-    def test_too_many_workers_raises(self):
-        with pytest.raises(ValueError, match="cannot pack"):
-            pack_workers([0], {"a": [(0, 1), (1, 1)]}, ["a"])
-
-    def test_missing_job_in_order_raises(self):
-        with pytest.raises(ValueError, match="missing jobs"):
-            pack_workers([0, 1], {"a": [(0, 1)]}, ["b"])
-
-    def test_empty(self):
-        assert pack_workers([0, 1], {}, []) == {}
-
-
-class TestContiguousRuns:
-    def test_single_run(self):
-        assert contiguous_runs([2, 3, 4]) == [(2, 3)]
-
-    def test_multiple_runs(self):
-        assert contiguous_runs([0, 1, 5, 7, 8]) == [(0, 2), (5, 1), (7, 2)]
-
-    def test_empty(self):
-        assert contiguous_runs([]) == []

@@ -67,19 +67,6 @@ class TestUpdateCondition:
         assert proposal.config_of("run") == allocation.config_of("run")
         assert proposal.num_gpus("wait") >= 1
 
-    def test_immediate_fill_can_be_disabled(self, topology):
-        scheduler = ONESScheduler(
-            ONESConfig(evolution=EvolutionConfig(population_size=4), immediate_fill=False),
-            seed=3,
-        )
-        running = make_running_job(job_id="run", gpu_ids=(0,), local_batches=(64,))
-        pending = make_job(job_id="wait", arrival_time=5.0)
-        allocation = Allocation.from_job_map({"run": [(0, 64)]})
-        scheduler._has_deployed = True
-        scheduler._epochs_at_last_update = {"run": running.epochs_completed}
-        state = _state({"run": running, "wait": pending}, topology, allocation, now=5.0)
-        assert scheduler.on_job_arrival(pending, state) is None
-
 
 class TestResumePolicy:
     def test_rejected_waiting_job_limit_is_halved(self, scheduler, topology):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.jobs.lr_scaling import (
     linear_scaled_lr,
-    scaled_lr_with_warmup,
     sqrt_scaled_lr,
     warmup_factor,
 )
@@ -47,17 +46,3 @@ class TestWarmup:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             warmup_factor(-1, 10)
-
-
-class TestCombined:
-    def test_linear_with_warmup(self):
-        lr = scaled_lr_with_warmup(0.1, 256, 1024, step=1, warmup_steps=4)
-        assert lr == pytest.approx(0.4 * 0.5)
-
-    def test_sqrt_rule_selection(self):
-        lr = scaled_lr_with_warmup(0.1, 256, 1024, step=100, warmup_steps=0, rule="sqrt")
-        assert lr == pytest.approx(0.2)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            scaled_lr_with_warmup(0.1, 256, 512, step=0, rule="cubic")

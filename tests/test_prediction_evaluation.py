@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.prediction.evaluation import cross_validate_backends, evaluate_predictor
+from repro.prediction.evaluation import evaluate_predictor
 from tests.conftest import make_running_job
 
 
@@ -48,16 +48,3 @@ class TestEvaluatePredictor:
     def test_invalid_confidence(self, job_pool):
         with pytest.raises(ValueError):
             evaluate_predictor(job_pool[:4], job_pool[4:], confidence=1.5)
-
-
-class TestCrossValidation:
-    def test_covers_both_backends(self, job_pool):
-        results = cross_validate_backends(job_pool, folds=2, seed=0)
-        assert set(results) == {"gpr", "blr"}
-        for evaluation in results.values():
-            assert evaluation.num_eval_points > 0
-            assert np.isfinite(evaluation.mae_epochs_remaining)
-
-    def test_requires_enough_jobs(self):
-        with pytest.raises(ValueError):
-            cross_validate_backends([_completed_job("only", 5)], folds=3)

@@ -8,9 +8,7 @@ from repro.cluster.topology import make_longhorn_cluster
 from repro.sim.simulator import ClusterSimulator
 from repro.sim.telemetry import (
     ascii_utilization_sparkline,
-    batch_size_timeline,
     busy_gpu_timeline,
-    gpu_count_timeline,
     job_gantt,
     summarize_run,
     utilization_timeline,
@@ -57,19 +55,6 @@ class TestTimelines:
         _, util = utilization_timeline(fifo_result, num_points=100)
         assert np.all(util >= 0)
         assert np.all(util <= 1.0 + 1e-9)
-
-    def test_batch_size_timeline(self, fifo_result):
-        job = next(iter(fifo_result.jobs.values()))
-        times, batches = batch_size_timeline(job)
-        assert len(times) == len(batches)
-        assert np.all(batches >= 1)
-
-    def test_gpu_count_timeline(self, fifo_result):
-        job = next(iter(fifo_result.jobs.values()))
-        times, counts = gpu_count_timeline(job)
-        assert len(times) == len(counts)
-        assert counts.max() >= 1
-
 
 class TestSummary:
     def test_summarize_run_fields(self, fifo_result):

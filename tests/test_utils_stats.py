@@ -7,7 +7,6 @@ from repro.utils.stats import (
     RunningMean,
     cumulative_frequency,
     fraction_below,
-    percentile_summary,
     summarize,
 )
 
@@ -32,17 +31,6 @@ class TestSummarize:
     def test_as_dict_keys(self):
         d = summarize([1, 2, 3]).as_dict()
         assert set(d) == {"count", "mean", "std", "min", "p25", "median", "p75", "max"}
-
-
-class TestPercentileSummary:
-    def test_values(self):
-        result = percentile_summary(np.arange(101), percentiles=(50, 90))
-        assert result[50.0] == pytest.approx(50.0)
-        assert result[90.0] == pytest.approx(90.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile_summary([])
 
 
 class TestCumulativeFrequency:

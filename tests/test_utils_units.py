@@ -8,9 +8,7 @@ from repro.utils.units import (
     KB,
     MB,
     MINUTE,
-    format_bytes,
     format_duration,
-    format_rate,
 )
 
 
@@ -23,20 +21,6 @@ class TestConstants:
     def test_time_multiples(self):
         assert MINUTE == 60.0
         assert HOUR == 3600.0
-
-
-class TestFormatBytes:
-    def test_small(self):
-        assert format_bytes(512) == "512.00 B"
-
-    def test_kib(self):
-        assert "KiB" in format_bytes(2048)
-
-    def test_gib(self):
-        assert "GiB" in format_bytes(3 * 1024**3)
-
-    def test_huge_uses_tib(self):
-        assert "TiB" in format_bytes(5 * 1024**4)
 
 
 class TestFormatDuration:
@@ -57,17 +41,3 @@ class TestFormatDuration:
 
     def test_negative(self):
         assert format_duration(-12.5).startswith("-")
-
-
-class TestFormatRate:
-    def test_plain(self):
-        assert format_rate(12.3) == "12.30 samples/s"
-
-    def test_kilo(self):
-        assert "k" in format_rate(12_300)
-
-    def test_mega(self):
-        assert "M" in format_rate(12_300_000)
-
-    def test_giga(self):
-        assert "G" in format_rate(2.5e9)

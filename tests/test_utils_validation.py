@@ -10,20 +10,7 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
-    check_type,
 )
-
-
-class TestCheckType:
-    def test_accepts_matching_type(self):
-        assert check_type(5, int, "x") == 5
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="x must be of type"):
-            check_type("5", int, "x")
-
-    def test_accepts_tuple_of_types(self):
-        assert check_type(5.0, (int, float), "x") == 5.0
 
 
 class TestCheckPositive:
