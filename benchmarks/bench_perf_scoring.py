@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from functools import lru_cache
 from time import perf_counter
-from typing import Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -121,6 +121,46 @@ def _bench_event_loop() -> Dict[str, Dict]:
     return records
 
 
+def _paired_overheads(
+    baseline: Callable[[], Tuple[object, float]],
+    variants: Dict[str, Callable[[], Tuple[object, float]]],
+    rounds: int = 6,
+) -> Dict[str, Dict]:
+    """Interleaved, paired wall-clock of each variant against ``baseline``.
+
+    Every side is a zero-argument callable returning ``(result,
+    seconds)``.  One discarded baseline run warms the throughput-table
+    and numpy caches; then each round runs every side once, reversing
+    the order on alternate rounds so within-round drift cannot
+    systematically favour either side.  A variant's ``overhead`` is the
+    median over rounds of its time divided by the same round's baseline
+    time, minus one: pairing adjacent-in-time runs cancels the slow
+    machine drift that poisons min-of-N over independent series, and the
+    median sheds the rounds a background burst landed in.
+
+    Returns ``{side: {"result", "seconds" (best round), "overhead"}}``
+    for the baseline and every variant.
+    """
+    baseline()
+    sides = {"baseline": baseline, **variants}
+    order = list(sides)
+    times: Dict[str, list] = {name: [] for name in sides}
+    results: Dict[str, object] = {}
+    for round_index in range(rounds):
+        for name in order if round_index % 2 == 0 else order[::-1]:
+            results[name], elapsed = sides[name]()
+            times[name].append(elapsed)
+    base = np.array(times["baseline"])
+    return {
+        name: {
+            "result": results[name],
+            "seconds": min(times[name]),
+            "overhead": float(np.median(np.array(times[name]) / base)) - 1.0,
+        }
+        for name in sides
+    }
+
+
 def _bench_faults() -> Dict:
     """Fault-subsystem cost: dormant-config overhead + one chaotic run.
 
@@ -131,7 +171,8 @@ def _bench_faults() -> Dict:
     with no fault config against a run whose config is enabled but
     dormant (an MTBF so large no failure lands inside the horizon) —
     the two trajectories must be identical and the wall-clock within a
-    few percent (gated <5% below).  A genuinely faulted run is recorded
+    few percent (gated <5% below), measured by
+    :func:`_paired_overheads`.  A genuinely faulted run is recorded
     alongside for the perf trajectory of recovery itself.
     """
     num_gpus, num_jobs = 16, 10
@@ -149,16 +190,13 @@ def _bench_faults() -> Dict:
     # Enabled but dormant: the first exponential failure draw lands ~1e6
     # hours out, far beyond the simulation horizon, so zero events fire.
     dormant = FaultConfig(profile="mtbf", seed=SEED, mtbf_hours=1e6)
-    baseline_times, dormant_times = [], []
-    baseline_result = dormant_result = None
-    for _ in range(3):  # interleaved, best-of-3 per side (noise control)
-        baseline_result, elapsed = timed_run(None)
-        baseline_times.append(elapsed)
-        dormant_result, elapsed = timed_run(dormant)
-        dormant_times.append(elapsed)
-    if baseline_result.completed != dormant_result.completed:
+    sides = _paired_overheads(
+        lambda: timed_run(None), {"dormant": lambda: timed_run(dormant)}
+    )
+    baseline_result = sides["baseline"]["result"]
+    if baseline_result.completed != sides["dormant"]["result"].completed:
         raise AssertionError("a dormant fault config changed the trajectory")
-    baseline_s, dormant_s = min(baseline_times), min(dormant_times)
+    baseline_s = sides["baseline"]["seconds"]
 
     chaotic = FaultConfig(
         profile="mtbf", seed=SEED, mtbf_hours=0.5, repair_minutes=10
@@ -168,8 +206,8 @@ def _bench_faults() -> Dict:
         "num_gpus": num_gpus,
         "num_jobs": num_jobs,
         "baseline_seconds": round(baseline_s, 3),
-        "dormant_seconds": round(dormant_s, 3),
-        "disabled_overhead": round(dormant_s / baseline_s - 1.0, 4),
+        "dormant_seconds": round(sides["dormant"]["seconds"], 3),
+        "disabled_overhead": round(sides["dormant"]["overhead"], 4),
         "baseline_events_per_sec": round(
             baseline_result.events_processed / baseline_s, 1
         ),
@@ -249,12 +287,12 @@ def _bench_observability() -> Dict:
     alongside so the cost of tracing-on (and the record volume it buys)
     stays in the perf trajectory.
 
-    The horizon is capped at the first 600 virtual seconds of the tier's
-    trace: a ~3 s measured run instead of ~12 s buys five interleaved
-    rounds per side, and best-of-N over short interleaved runs is far
-    more robust to background machine noise than best-of-3 over long
-    ones — the dormant delta under test is a global read and a branch
-    per instrumentation site, far below long-run noise amplitude.
+    Both overheads come from :func:`_paired_overheads`.  The horizon is
+    capped at the first 600 virtual seconds of the tier's trace so that
+    six rounds of three runs stay affordable (a capped run takes
+    6–7.5 s on a 2-CPU x86_64 host); the dormant delta under test is a
+    global read and a branch per instrumentation site, far below
+    long-run noise amplitude.
     """
     from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
 
@@ -263,54 +301,46 @@ def _bench_observability() -> Dict:
     trace = TraceGenerator(trace_config, seed=SEED).generate()
     sim_config = SimulationConfig(max_time=600.0)
 
-    def timed_run():
-        scheduler = create_scheduler("ONES-hier", SEED, partition_size=partition_size)
-        start = perf_counter()
-        result = simulate_trace(scheduler, trace, num_gpus, sim_config)
-        return result, perf_counter() - start
+    def timed_run(recorder=None):
+        if recorder is not None:
+            install_tracer(recorder)
+        try:
+            scheduler = create_scheduler(
+                "ONES-hier", SEED, partition_size=partition_size
+            )
+            start = perf_counter()
+            result = simulate_trace(scheduler, trace, num_gpus, sim_config)
+            return result, perf_counter() - start
+        finally:
+            uninstall_tracer()
+
+    recorders = [None]  # the latest traced run's recorder only
+
+    def traced_run():
+        recorders[0] = TraceRecorder(capacity=1 << 20)
+        return timed_run(recorders[0])
 
     uninstall_tracer()
-    timed_run()  # warm-up: throughput-table and numpy caches
-    # Per-round pairwise ratios, then the median across rounds: pairing
-    # adjacent-in-time runs cancels slow machine drift that poisons
-    # min-of-N over independent series, and the median sheds the rounds
-    # a background burst landed in.
-    dormant_ratios, tracing_ratios = [], []
-    baseline_times, dormant_times = [], []
-    baseline_result = dormant_result = traced_result = None
-    recorder = None
-    for round_index in range(6):
-        # Alternate which side runs first so within-round drift cannot
-        # systematically favour either side.
-        dormant_first = bool(round_index % 2)
-        if dormant_first:
-            install_tracer(TraceRecorder(enabled=False))
-            dormant_result, dormant_elapsed = timed_run()
-            uninstall_tracer()
-            baseline_result, baseline_elapsed = timed_run()
-        else:
-            baseline_result, baseline_elapsed = timed_run()
-            install_tracer(TraceRecorder(enabled=False))
-            dormant_result, dormant_elapsed = timed_run()
-            uninstall_tracer()
-        baseline_times.append(baseline_elapsed)
-        dormant_times.append(dormant_elapsed)
-        recorder = install_tracer(TraceRecorder(capacity=1 << 20))
-        traced_result, traced_elapsed = timed_run()
-        uninstall_tracer()
-        dormant_ratios.append(dormant_elapsed / baseline_elapsed)
-        tracing_ratios.append(traced_elapsed / baseline_elapsed)
-    if baseline_result.completed != dormant_result.completed:
+    sides = _paired_overheads(
+        timed_run,
+        {
+            "dormant": lambda: timed_run(TraceRecorder(enabled=False)),
+            "tracing": traced_run,
+        },
+    )
+    baseline_result = sides["baseline"]["result"]
+    if baseline_result.completed != sides["dormant"]["result"].completed:
         raise AssertionError("a dormant trace recorder changed the trajectory")
-    if traced_result.completed != baseline_result.completed:
+    if sides["tracing"]["result"].completed != baseline_result.completed:
         raise AssertionError("an enabled trace recorder changed the trajectory")
+    recorder = recorders[0]
     return {
         "num_gpus": num_gpus,
         "num_jobs": num_jobs,
-        "baseline_seconds": round(min(baseline_times), 3),
-        "dormant_seconds": round(min(dormant_times), 3),
-        "disabled_overhead": round(float(np.median(dormant_ratios)) - 1.0, 4),
-        "tracing_overhead": round(float(np.median(tracing_ratios)) - 1.0, 4),
+        "baseline_seconds": round(sides["baseline"]["seconds"], 3),
+        "dormant_seconds": round(sides["dormant"]["seconds"], 3),
+        "disabled_overhead": round(sides["dormant"]["overhead"], 4),
+        "tracing_overhead": round(sides["tracing"]["overhead"], 4),
         "trace_records": len(recorder),
         "trace_records_dropped": recorder.dropped,
     }

@@ -149,10 +149,6 @@ class Allocation:
             for gpu, worker in self._assignments.items()
         }
 
-    def job_configs(self) -> Dict[str, JobConfig]:
-        """All per-job configurations keyed by job id."""
-        return {job_id: self.config_of(job_id) for job_id in self.jobs()}
-
     # -- comparisons --------------------------------------------------------------
 
     def changed_jobs(self, other: "Allocation") -> Set[str]:

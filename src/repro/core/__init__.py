@@ -38,7 +38,7 @@ from repro.core.operators import (
     uniform_mutation,
 )
 from repro.core.population import Population
-from repro.core.evolution import EvolutionConfig, EvolutionEngine, EvolutionarySearch
+from repro.core.evolution import EvolutionConfig, EvolutionarySearch
 from repro.core.evolution_batched import GenerationResult, run_generation
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 
@@ -59,7 +59,6 @@ __all__ = [
     "uniform_mutation",
     "Population",
     "EvolutionConfig",
-    "EvolutionEngine",
     "EvolutionarySearch",
     "GenerationResult",
     "run_generation",

@@ -23,7 +23,7 @@ compare this engine against, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -117,11 +117,6 @@ class EvolutionarySearch:
         self.last_iteration_scores: List[float] = []
         #: Delta-scoring cache carried across generations.
         self.scoring_engine = IncrementalScoringEngine()
-        #: Per-operator wall-clock accrued by the generation loop
-        #: (``evo_fill``/``evo_crossover``/``evo_mutation``/
-        #: ``evo_selection`` + ``rescore_full``/``rescore_delta``);
-        #: surfaced through ``ONESScheduler.profile_phases``.
-        self.phase_seconds: Dict[str, float] = {}
 
     @property
     def genomes(self) -> Optional[np.ndarray]:
@@ -176,11 +171,7 @@ class EvolutionarySearch:
         self.last_iteration_scores = []
         for _ in range(self.config.iterations_per_invocation):
             result = run_generation(
-                self._genomes,
-                ctx,
-                self.config,
-                engine=self.scoring_engine,
-                phases=self.phase_seconds,
+                self._genomes, ctx, self.config, engine=self.scoring_engine
             )
             self._genomes = result.population
             best = (
@@ -192,7 +183,3 @@ class EvolutionarySearch:
         assert best is not None
         self.best_candidate, self.best_score = best
         return best
-
-
-#: Alias used by docs and callers that think of this as "the engine".
-EvolutionEngine = EvolutionarySearch

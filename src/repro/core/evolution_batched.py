@@ -42,8 +42,7 @@ least one GPU; ONES never evolves otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +57,7 @@ from repro.core.scoring_incremental import (
     reorder_decomposed,
     score_decomposition,
 )
+from repro.sim.profiling import charge, mark
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -196,20 +196,6 @@ def _refresh_decomposed(
 # --- one full generation -------------------------------------------------------------------------
 
 
-def _charge(phases: Optional[Dict[str, float]], key: str, start: float) -> float:
-    """Accrue ``perf_counter() - start`` onto ``phases[key]``; new mark.
-
-    The per-operator attribution behind the ``--profile`` breakdown
-    (``evo_fill`` / ``evo_crossover`` / ``evo_mutation`` /
-    ``evo_selection`` plus ``rescore_full`` / ``rescore_delta``); a
-    ``None`` phases dict keeps the generation timer-free.
-    """
-    now = perf_counter()
-    if phases is not None:
-        phases[key] = phases.get(key, 0.0) + (now - start)
-    return now
-
-
 @dataclass(frozen=True)
 class GenerationResult:
     """Outcome of one generation."""
@@ -231,7 +217,6 @@ def run_generation(
     ctx: EvolutionContext,
     config,
     engine: Optional[IncrementalScoringEngine] = None,
-    phases: Optional[Dict[str, float]] = None,
 ) -> GenerationResult:
     """One evolution generation as array ops over the genome matrix.
 
@@ -243,8 +228,10 @@ def run_generation(
     ``engine`` carries the score decomposition across generations: it
     is reused when ``genomes`` is the population it committed last time,
     and rebuilt from scratch otherwise (a throwaway engine is used when
-    none is given).  ``phases`` optionally accrues per-operator
-    wall-clock (see :func:`_charge`).
+    none is given).  Each operator's wall-clock is charged to the active
+    profile (:func:`repro.sim.profiling.charge`): ``rescore_full`` or
+    ``rescore_delta``, then ``evo_fill``, ``evo_crossover``,
+    ``evo_mutation`` and ``evo_selection``.
     """
     table = _require_table(ctx)
     if ctx.roster != table.roster:
@@ -261,12 +248,12 @@ def run_generation(
     desired = _desired_vector(ctx)
     remaining = _remaining_vector(ctx)
 
-    mark = perf_counter()
+    start = mark()
     decomp, rebuilt = engine.prepare(genomes, ctx.roster, table)
-    mark = _charge(phases, "rescore_full" if rebuilt else "rescore_delta", mark)
+    start = charge("rescore_full" if rebuilt else "rescore_delta", start)
 
     refreshed = _refresh_decomposed(genomes, ctx, decomp, desired, remaining)
-    mark = _charge(phases, "evo_fill", mark)
+    start = charge("evo_fill", start)
     population_rows = refreshed.shape[0]
     parts = [refreshed]
     decomp_parts = [decomp]
@@ -292,7 +279,7 @@ def run_generation(
             fill_idle_decomposed(children, ctx, child_decomp, desired, remaining)
         )
         decomp_parts.append(child_decomp)
-        mark = _charge(phases, "evo_crossover", mark)
+        start = charge("evo_crossover", start)
 
     # Uniform mutation (Fig. 9): the member pick and the per-placed-job
     # preemption coins follow the scalar draw order (one vectorised
@@ -335,7 +322,7 @@ def run_generation(
             fill_idle_decomposed(mutated, ctx, mut_decomp, desired, remaining)
         )
         decomp_parts.append(mut_decomp)
-        mark = _charge(phases, "evo_mutation", mark)
+        start = charge("evo_mutation", start)
 
     if len(parts) > 1:
         pool = np.concatenate(parts, axis=0)
@@ -361,7 +348,7 @@ def run_generation(
     order = np.argsort(scores, kind="stable")[:size]
     survivors = pool[order]
     engine.commit(survivors, pool_decomp.take(order))
-    _charge(phases, "evo_selection", mark)
+    charge("evo_selection", start)
     return GenerationResult(
         population=survivors,
         scores=scores[order],

@@ -424,24 +424,6 @@ class ONESScheduler(SchedulerBase):
 
     # ------------------------------------------------------------------ introspection
 
-    def profile_phases(self) -> Dict[str, float]:
-        """Scheduler-side wall-clock phases picked up by ``SimProfile``.
-
-        The simulator merges these into ``SimulationResult.profile`` when
-        the run was configured with ``collect_profile=True``, which is
-        how the GPR-refit share of a run becomes measurable:
-        ``gpr_refit`` is the wall-clock of the predictor's full refit
-        after every job completion (§3.2.1).  The
-        ``evo_*`` operator phases and the ``rescore_full`` /
-        ``rescore_delta`` attribution come from the generation loop
-        (see :func:`repro.core.evolution_batched.run_generation`), so a
-        ``--profile`` run shows exactly where a generation's wall-clock
-        goes and how much of it the delta-scoring cache absorbed.
-        """
-        phases = {"gpr_refit": self.predictor.refit_seconds}
-        phases.update(self.search.phase_seconds)
-        return phases
-
     def metrics_registry(self) -> MetricsRegistry:
         """The scheduler's live counters as a metrics registry.
 

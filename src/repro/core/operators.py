@@ -130,14 +130,6 @@ class EvolutionContext:
         desired = math.ceil(self.limit(job_id) / per_gpu)
         return int(max(1, min(desired, self.num_gpus)))
 
-    def mean_progress(self) -> Dict[str, float]:
-        """Mean ρ_j of every job's progress distribution."""
-        out = {}
-        for job_id in self.roster:
-            dist = self.distributions.get(job_id)
-            out[job_id] = dist.mean if dist is not None else 0.5
-        return out
-
     def _utilization_term(self, job_id: str, count: int, throughput: float) -> float:
         """The single definition of a job's Eq. 8 term at mean progress."""
         if count == 0:

@@ -592,16 +592,6 @@ class HierarchicalONESScheduler(SchedulerBase):
 
     # ------------------------------------------------------------------ introspection
 
-    def profile_phases(self) -> Dict[str, float]:
-        """Aggregated scheduler-side phases across every inner instance."""
-        if self._flat is not None:
-            return self._flat.profile_phases()
-        totals: Dict[str, float] = {"gpr_refit": 0.0}
-        for partition in self._partitions:
-            for key, value in partition.inner.profile_phases().items():
-                totals[key] = totals.get(key, 0.0) + value
-        return totals
-
     def metrics_registry(self) -> MetricsRegistry:
         """Reconciler gauges plus inner-counter rollups, built on demand.
 

@@ -48,7 +48,7 @@ from repro.experiments.backends import (
     simulate_trace,
 )
 from repro.experiments.queue import CellState, LeaseLostError, WorkQueue
-from repro.experiments.orchestrator import Runner, RunnerStats, run_experiment
+from repro.experiments.orchestrator import Runner, RunnerStats
 from repro.experiments.registry import (
     SchedulerEntry,
     UnknownSchedulerError,
@@ -68,7 +68,6 @@ __all__ = [
     "RunSpec",
     "Runner",
     "RunnerStats",
-    "run_experiment",
     "RunArtifact",
     "SweepArtifact",
     "dead_cell_artifact",

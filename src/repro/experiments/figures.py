@@ -7,7 +7,8 @@ monotone, where the crossover falls).
 
 Most are *analytic* figures (throughput scaling, convergence,
 overheads) that need no cluster simulation.  The simulation-driven
-figures (15, 17, 18 and Table 4) run an
+ones (Fig. 15 and Table 4; the Fig. 17/18 tables come from a sweep,
+:func:`~repro.experiments.report.build_sweep_report`) run an
 :class:`~repro.experiments.spec.ExperimentSpec` grid through the
 :class:`~repro.experiments.orchestrator.Runner` and aggregate the
 resulting :class:`~repro.experiments.artifacts.SweepArtifact`; Fig. 6
@@ -26,7 +27,6 @@ from repro.analysis.metrics import (
     completion_fraction_within,
     improvement_over,
     mean_metric,
-    relative_jct,
 )
 from repro.analysis.stats import significance_table
 from repro.baselines.base import SchedulerBase
@@ -265,32 +265,3 @@ def figure16_overheads(
     overheads = OverheadModel()
     return overheads.comparison_table({name: get_model(name) for name in model_names})
 
-
-# --------------------------------------------------------------------------------------------------
-# Fig. 17 / Fig. 18 — scalability
-# --------------------------------------------------------------------------------------------------
-
-
-def figure17_18_scalability(
-    spec: Optional[ExperimentSpec] = None,
-) -> Dict[str, object]:
-    """Average JCT and relative JCT across cluster capacities.
-
-    ``spec`` defaults to :meth:`ExperimentSpec.scalability` (16/32/48/64
-    GPUs); each capacity is read on the grid's first seed and trace.
-    """
-    sweep = Runner().run(spec or ExperimentSpec.scalability())
-    average_jct: Dict[str, list] = {}
-    relative: Dict[str, list] = {}
-    for capacity in sweep.spec.capacities:
-        results = sweep.results_for(capacity)
-        for name, result in results.items():
-            average_jct.setdefault(name, []).append(mean_metric(result, "jct"))
-        for name, value in relative_jct(results, "ONES").items():
-            relative.setdefault(name, []).append(value)
-    return {
-        "capacities": list(sweep.spec.capacities),
-        "average_jct": average_jct,
-        "relative_jct": relative,
-        "sweep": sweep,
-    }

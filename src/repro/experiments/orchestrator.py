@@ -40,7 +40,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.experiments.artifacts import RunArtifact, SweepArtifact
 from repro.experiments.backends import (
@@ -182,10 +182,6 @@ class Runner:
             artifacts[index] = artifact
         return SweepArtifact(spec=spec, runs=list(artifacts))
 
-    def run_cells(self, cells: Sequence[RunSpec]) -> List[RunArtifact]:
-        """Execute an explicit list of cells (no grid, no cache), in order."""
-        return self.backend.run(list(cells), policy=self.policy)
-
     # -- cell cache ---------------------------------------------------------------------
 
     def cell_path(self, cell: RunSpec) -> Optional[Path]:
@@ -217,27 +213,3 @@ class Runner:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(artifact.to_json() + "\n")
 
-
-def run_experiment(
-    spec: ExperimentSpec,
-    backend: Union[str, ExecutionBackend] = "serial",
-    workers: Optional[int] = None,
-    cache_dir: Optional[PathLike] = None,
-    resume: bool = False,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.0,
-    queue_dir: Optional[PathLike] = None,
-    lease_ttl: float = 30.0,
-) -> SweepArtifact:
-    """One-shot convenience wrapper around :class:`Runner`."""
-    return Runner(
-        backend=backend,
-        workers=workers,
-        cache_dir=cache_dir,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        retry_backoff_s=retry_backoff_s,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-    ).run(spec, resume=resume)

@@ -20,14 +20,6 @@ def linear_scaled_lr(base_lr: float, base_batch: int, new_batch: int) -> float:
     return base_lr * (new_batch / base_batch)
 
 
-def sqrt_scaled_lr(base_lr: float, base_batch: int, new_batch: int) -> float:
-    """Square-root scaling rule (used by some adaptive optimisers)."""
-    check_positive(base_lr, "base_lr")
-    check_positive(base_batch, "base_batch")
-    check_positive(new_batch, "new_batch")
-    return base_lr * (new_batch / base_batch) ** 0.5
-
-
 def warmup_factor(step: int, warmup_steps: int) -> float:
     """Linear warmup multiplier in ``[0, 1]``.
 

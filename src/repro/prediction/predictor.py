@@ -15,7 +15,6 @@ Eq. 7: ``Y = Y_processed (1/ρ − 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, Literal, Optional, Tuple
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.prediction.blr import BayesianLinearRegression
 from repro.prediction.features import FeatureScaler, job_features
 from repro.prediction.gpr import GaussianProcessRegression
 from repro.prediction.history import HistoryStore
+from repro.sim.profiling import charge, mark
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -72,9 +72,6 @@ class ProgressPredictor:
         self._model = self._make_model()
         self._fitted = False
         self.fit_count = 0
-        #: Cumulative wall-clock spent in refits (read by profiling:
-        #: ``ONESScheduler.profile_phases``).
-        self.refit_seconds = 0.0
 
     def _make_model(self):
         if self.config.backend == "gpr":
@@ -95,15 +92,19 @@ class ProgressPredictor:
             self.refit()
 
     def refit(self) -> bool:
-        """Re-fit the regression on the current history; returns success."""
+        """Re-fit the regression on the current history; returns success.
+
+        The fit's wall-clock is charged to the ``gpr_refit`` phase of the
+        active profile (:mod:`repro.sim.profiling`).
+        """
         X, y = self.history.as_arrays()
         if X.shape[0] < 2:
             return False
-        start = perf_counter()
+        start = mark()
         X_std = self._scaler.fit_transform(X)
         self._model = self._make_model()
         self._model.fit(X_std, y)
-        self.refit_seconds += perf_counter() - start
+        charge("gpr_refit", start)
         self._fitted = True
         self.fit_count += 1
         return True

@@ -10,9 +10,11 @@ boundary layers a service needs:
   or a Table-2 template, the engine draws the spec with the service's
   seeded RNG, so a given submission sequence always produces the same
   jobs,
-* decision-latency accounting: every kernel step is timed, and the step
-  that processes a submission's ``JOB_ARRIVAL`` *is* that submission's
-  decision latency — the quantity the service's SLOs are stated over,
+* decision-latency accounting: the steps from injecting a submission's
+  ``JOB_ARRIVAL`` to processing it are that submission's decision
+  latency — the quantity the service's SLOs are stated over; the
+  simulator runs profiled, so every step's handler time also lands in
+  its :class:`~repro.sim.profiling.SimProfile`, per event kind,
 * per-tenant telemetry (goodput, queue depth, decision stream) published
   through a :class:`~repro.service.streams.StreamHub`.
 
@@ -115,7 +117,9 @@ class SchedulerService:
             self.scheduler,
             trace=[],
             config=SimulationConfig(
-                max_time=config.max_time, max_events=config.max_events
+                max_time=config.max_time,
+                max_events=config.max_events,
+                collect_profile=True,
             ),
             online=True,
         )
@@ -146,7 +150,6 @@ class SchedulerService:
         self._tenant_of_job: Dict[str, str] = {}
         self._completed_seen: set = set()
         self.decision_latency = LatencyHistogram()
-        self.step_latency: Dict[str, LatencyHistogram] = {}
         self._started_wall = perf_counter()
         self._decision_wall_total = 0.0
         self.draining = False
@@ -170,21 +173,12 @@ class SchedulerService:
             return max(self.wall_virtual_target(), self.sim.kernel.now, last_arrival)
         return max(self.sim.kernel.now, last_arrival)
 
-    # -- kernel stepping (all steps are timed) ------------------------------------------
+    # -- kernel stepping -----------------------------------------------------------------
 
-    def _timed_step(self) -> Optional[Event]:
-        start = perf_counter()
+    def _step(self) -> Optional[Event]:
         event = self.sim.kernel.step()
-        if event is None:
-            return None
-        elapsed = perf_counter() - start
-        kind_name = event.kind.name
-        hist = self.step_latency.get(kind_name)
-        if hist is None:
-            hist = LatencyHistogram()
-            self.step_latency[kind_name] = hist
-        hist.record(elapsed)
-        self._after_step(event)
+        if event is not None:
+            self._after_step(event)
         return event
 
     def _after_step(self, event: Event) -> None:
@@ -230,7 +224,7 @@ class SchedulerService:
             queue = self.sim.kernel.events
             if not queue or queue.peek().time >= target:
                 break
-            if self._timed_step() is None:
+            if self._step() is None:
                 break
             processed += 1
         return processed
@@ -302,7 +296,7 @@ class SchedulerService:
         decide_start = perf_counter()
         arrival_seen = False
         while not arrival_seen:
-            event = self._timed_step()
+            event = self._step()
             if event is None:
                 raise RuntimeError(
                     f"kernel stalled before processing arrival of {spec.job_id!r} "
@@ -473,7 +467,7 @@ class SchedulerService:
         while True:
             if self.sim._all_done():
                 break
-            if self._timed_step() is None:
+            if self._step() is None:
                 break
         return self.sim.build_result()
 
@@ -520,6 +514,11 @@ class SchedulerService:
             },
         }
 
+    def _step_histograms(self) -> List[Tuple[str, LatencyHistogram]]:
+        """The simulator profile's per-kind handler histograms, by kind name."""
+        handlers = self.sim.profile.handlers
+        return sorted((kind.name, hist) for kind, hist in handlers.items())
+
     def metrics_registry(self) -> MetricsRegistry:
         """The service's live telemetry as a metrics registry.
 
@@ -543,10 +542,10 @@ class SchedulerService:
             tenant_hist.attach(state.decision_latency, tenant=name)
         step_hist = registry.histogram(
             "service_step_latency_seconds",
-            help="kernel step latency per event kind",
+            help="event handler latency per event kind",
             labels=("kind",),
         )
-        for kind, hist in sorted(self.step_latency.items()):
+        for kind, hist in self._step_histograms():
             step_hist.attach(hist, kind=kind)
         registry.set_gauges(
             {
@@ -584,8 +583,7 @@ class SchedulerService:
                 for name, state in sorted(self.tenants.items())
             },
             "step_latency_by_kind": {
-                kind: hist.as_dict()
-                for kind, hist in sorted(self.step_latency.items())
+                kind: hist.as_dict() for kind, hist in self._step_histograms()
             },
             "submissions_per_second": self.submissions_per_second(),
             "queue_depth": self.queue_depth(),

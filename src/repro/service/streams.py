@@ -95,10 +95,6 @@ class StreamHub:
                 break
         return out, next_cursor
 
-    def latest_cursor(self, tenant: str) -> int:
-        """The cursor positioned *after* the newest record (empty read next)."""
-        return self._next_seq.get(tenant, 0)
-
     def dropped(self, tenant: str) -> int:
         """Records evicted from ``tenant``'s ring before any read caught up."""
         return self._dropped.get(tenant, 0)

@@ -40,11 +40,16 @@ arrivals and the first timer tick).
 
 Profiling
 ---------
-``SimulationConfig(collect_profile=True)`` threads a
-:class:`~repro.sim.profiling.SimProfile` through the kernel: per-phase
-wall-clock (ledger advance, per-event-kind handler time, scheduler
-phases such as GPR refits) lands in ``SimulationResult.profile`` and in
-experiment artifacts.
+:mod:`repro.sim.profiling` is the program's one wall-clock timer.
+``SimulationConfig(collect_profile=True)`` gives the kernel a
+:class:`~repro.sim.profiling.SimProfile`, which it makes the process's
+active profile while it dispatches events.  The kernel charges the
+ledger advance and each event kind's handler time; the predictor's GPR
+refits and the search's evolution operators, which run inside those
+handlers, charge their phases to the same profile through
+:func:`~repro.sim.profiling.charge`.  The table lands in
+``SimulationResult.profile`` and in experiment artifacts, and the live
+service renders the per-kind handler histograms as its step latency.
 """
 
 from repro.sim.kernel import EventHandler, SimulationKernel

@@ -4,8 +4,11 @@ The kernel is the policy-free core of the simulator.  It owns
 
 * the simulation clock (``now``) with the time-goes-backwards guard,
 * the :class:`~repro.cluster.events.EventQueue`,
-* the run guards (``max_events`` / ``max_time``), and
-* the event-kind → handler-strategy dispatch table.
+* the run guards (``max_events`` / ``max_time``),
+* the event-kind → handler-strategy dispatch table, and
+* its optional :class:`~repro.sim.profiling.SimProfile`, the process's
+  active profile while :meth:`SimulationKernel.run` or
+  :meth:`SimulationKernel.step` dispatches.
 
 Everything domain-specific — jobs, allocations, scheduler callbacks —
 lives in the handler strategies (:mod:`repro.sim.handlers`) and the
@@ -23,7 +26,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.cluster.events import Event, EventKind, EventQueue
 from repro.obs.trace import TraceRecorder
-from repro.sim.profiling import SimProfile
+from repro.sim.profiling import SimProfile, activate
 
 #: Called with the clamped target time before each event's handler runs.
 AdvanceHook = Callable[[float], None]
@@ -131,50 +134,46 @@ class SimulationKernel:
             return None
         event = self.events.pop()
         self.events_processed += 1
-        profile = self.profile
-        if profile is None:
-            self.advance(event.time)
-        else:
-            start = perf_counter()
-            self.advance(event.time)
-            profile.time_advance(start)
-        self._dispatch(event, profile)
+        previous = activate(self.profile)
+        try:
+            self._process(event)
+        finally:
+            activate(previous)
         return event
 
-    def _dispatch(self, event: Event, profile: Optional[SimProfile]) -> None:
-        """Run the event's handler, with optional profiling and tracing.
+    def _process(self, event: Event) -> None:
+        """Advance the clock to ``event`` and run its kind's handler.
 
-        When a tracer is installed *and enabled*, the handler runs inside
-        an ``event:{KIND}`` span so scheduler decisions, fault evictions
-        and service admissions emitted during handling nest under the
-        kernel event that caused them.  The span's times are virtual
+        The one per-event path of :meth:`run` and :meth:`step`.  With a
+        profile, the advance and the handler are charged to it (every
+        processed event counts under its kind, handled or not).  When a
+        tracer is installed *and enabled*, the handler runs inside an
+        ``event:{KIND}`` span so scheduler decisions, fault evictions and
+        service admissions emitted during handling nest under the kernel
+        event that caused them.  The span's times are virtual
         (``event.time`` → ``self.now``), never wall-clock, preserving
         trace content-comparability across runs.
         """
+        profile = self.profile
+        start = perf_counter() if profile is not None else 0.0
+        self.advance(event.time)
+        if profile is not None:
+            start = profile.charge_advance(start)
         handler = self._handlers.get(event.kind)
-        if handler is None:
-            return
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            span = tracer.begin_span(
-                f"event:{event.kind.name}", "kernel", event.time, job=event.job_id
-            )
-            try:
-                if profile is None:
+        if handler is not None:
+            tracer = self.tracer
+            if tracer is not None and tracer.enabled:
+                span = tracer.begin_span(
+                    f"event:{event.kind.name}", "kernel", event.time, job=event.job_id
+                )
+                try:
                     handler.handle(event)
-                else:
-                    start = perf_counter()
-                    handler.handle(event)
-                    profile.time_handler(event.kind, start)
-            finally:
-                tracer.end_span(span, t=self.now)
-        else:
-            if profile is None:
-                handler.handle(event)
+                finally:
+                    tracer.end_span(span, t=self.now)
             else:
-                start = perf_counter()
                 handler.handle(event)
-                profile.time_handler(event.kind, start)
+        if profile is not None:
+            profile.charge_handler(event.kind, start)
 
     def run_until(self, to_time: float) -> int:
         """Process every event *strictly before* ``to_time``; return the count.
@@ -209,19 +208,16 @@ class SimulationKernel:
         (unknown kinds are ignored, matching the old if/elif chain), stop
         when the done-predicate holds.
         """
-        profile = self.profile
-        while self.events and self.events_processed < self.max_events:
-            event = self.events.pop()
-            if event.time > self.max_time:
-                break
-            self.events_processed += 1
-            if profile is None:
-                self.advance(event.time)
-            else:
-                start = perf_counter()
-                self.advance(event.time)
-                profile.time_advance(start)
-            self._dispatch(event, profile)
-            if self._done():
-                break
+        previous = activate(self.profile)
+        try:
+            while self.events and self.events_processed < self.max_events:
+                event = self.events.pop()
+                if event.time > self.max_time:
+                    break
+                self.events_processed += 1
+                self._process(event)
+                if self._done():
+                    break
+        finally:
+            activate(previous)
         return self.events_processed

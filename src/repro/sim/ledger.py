@@ -114,10 +114,6 @@ class ProgressLedger:
         self.pull(job)
         return slot
 
-    def slot_of(self, job_id: str) -> int:
-        """Slot index of a registered job."""
-        return self._index[job_id]
-
     # -- runtime state (mirrors the old simulator dicts) --------------------------------
 
     def rate_of(self, job_id: str) -> float:

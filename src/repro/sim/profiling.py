@@ -1,125 +1,138 @@
-"""Per-phase wall-clock profiling of a simulation run.
+"""The program's one wall-clock timer: where a simulation's host time goes.
 
-A :class:`SimProfile` is the cheap, always-serialisable record of where a
-simulation spent its host wall-clock: advancing the progress ledger,
-inside each event-kind handler (which includes the scheduler callback
-that handler invokes), and — for schedulers that report it, like ONES —
-inside predictor refits.  Schedulers may attribute finer-grained phases
-through :meth:`SimProfile.record`; ONES reports its per-operator
-evolution breakdown this way (``evo_fill``, ``evo_crossover``,
-``evo_mutation``, ``evo_selection``) plus the scoring-cache phases
-``rescore_full`` (decomposition rebuilds) and ``rescore_delta``
-(incremental cache reuse) — see
-:mod:`repro.core.scoring_incremental`.  It is threaded through the
-experiment layer by
-``SimulationConfig.collect_profile``: any declarative
-:class:`~repro.experiments.spec.RunSpec` can switch it on, and the
-resulting phase table rides along in the ``SimulationResult`` (and hence
-in sweep artifacts) so grid runs can attribute their cost.
+A :class:`SimProfile` records the host wall-clock of one simulation run:
 
-Profiling is off by default: wall-clock is host-dependent, so enabling
-it makes artifacts non-reproducible across machines by design.  The
-simulator keeps the hot loop free of timer calls when disabled.
+* ``advance_seconds`` — moving the clock and the progress ledger to each
+  event;
+* one :class:`~repro.obs.metrics.LatencyHistogram` per event kind — the
+  time inside that kind's handler, which includes the scheduler
+  callback the handler invokes.  It is exported as
+  ``handler_<kind>_seconds`` (sum) and ``events_<kind>`` (count), and
+  the live service renders the same histograms as
+  ``service_step_latency_seconds``;
+* named *phases* charged through :func:`charge` from code the handlers
+  call: ``gpr_refit`` (the predictor's refit after every job
+  completion, §3.2.1), the evolution operators ``evo_fill``,
+  ``evo_crossover``, ``evo_mutation`` and ``evo_selection``, and the
+  scoring-cache phases ``rescore_full`` / ``rescore_delta`` (see
+  :mod:`repro.core.scoring_incremental`).
+
+Charging follows the :func:`repro.obs.trace.active_tracer` pattern: the
+process has at most one *active* profile.  A kernel makes its own
+profile (or ``None``) active while a ``run()`` or ``step()`` dispatches
+and restores the previous one afterwards, so a nested simulation charges
+its own profile and an unprofiled one charges nothing.  Every scheduler
+instance in the process — the inner schedulers of a partitioned
+``ONES-hier`` included — charges the run that is dispatching it, with no
+per-scheduler timers to gather up afterwards.
+
+Profiling is switched on by ``SimulationConfig.collect_profile``: any
+declarative :class:`~repro.experiments.spec.RunSpec` can enable it, and
+the table rides along in ``SimulationResult.profile`` (and hence in sweep
+artifacts).  It is off by default because wall-clock is host-dependent;
+when off, the hot paths take one global read and a branch per call site
+and never read the clock.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.cluster.events import EventKind
+from repro.obs.metrics import LatencyHistogram
 
 
 class SimProfile:
-    """Accumulates per-phase wall-clock seconds and per-kind event counts."""
+    """Per-phase wall-clock seconds and per-kind handler histograms of one run."""
 
     def __init__(self) -> None:
         self.advance_seconds: float = 0.0
-        self.handler_seconds: Dict[EventKind, float] = {}
-        self.event_counts: Dict[EventKind, int] = {}
-        self.extra_seconds: Dict[str, float] = {}
+        #: Handler wall-clock per event kind; one observation per event.
+        self.handlers: Dict[EventKind, LatencyHistogram] = {}
+        #: Seconds charged through :func:`charge`, by phase name.
+        self.phases: Dict[str, float] = {}
         self._started = perf_counter()
-        #: Set by :meth:`from_dict` so a deserialised profile reports
-        #: the original run's total instead of this process's clock.
-        self._total_seconds: Optional[float] = None
 
-    # -- timers used by the kernel ------------------------------------------------------
+    def charge_advance(self, start: float) -> float:
+        """Add ``perf_counter() - start`` to the advance row; return the new mark."""
+        now = perf_counter()
+        self.advance_seconds += now - start
+        return now
 
-    def time_advance(self, start: float) -> None:
-        """Charge ``perf_counter() - start`` to the ledger/clock phase."""
-        self.advance_seconds += perf_counter() - start
-
-    def time_handler(self, kind: EventKind, start: float) -> None:
-        """Charge ``perf_counter() - start`` to one event kind's handler."""
+    def charge_handler(self, kind: EventKind, start: float) -> None:
+        """Record ``perf_counter() - start`` as one event of ``kind``."""
         elapsed = perf_counter() - start
-        self.handler_seconds[kind] = self.handler_seconds.get(kind, 0.0) + elapsed
-        self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
-
-    def record(self, phase: str, seconds: float) -> None:
-        """Attribute extra seconds to a named phase (e.g. ``gpr_refit``)."""
-        self.extra_seconds[phase] = self.extra_seconds.get(phase, 0.0) + seconds
-
-    # -- export -------------------------------------------------------------------------
+        hist = self.handlers.get(kind)
+        if hist is None:
+            hist = self.handlers[kind] = LatencyHistogram()
+        hist.record(elapsed)
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat profiling table: ``*_seconds`` wall-clock phases plus
-        ``events_<kind>`` per-kind event counts (floats for JSON
-        uniformity — not seconds).
+        """Flat profiling table: ``*_seconds`` rows plus ``events_<kind>`` counts.
 
-        Event kinds serialise as their *names* (``handler_timer_seconds``,
-        ``events_node_down``), never enum reprs, so artifact keys stay
-        stable across enum reordering and are parseable by
-        :meth:`from_dict`.
+        ``total_seconds`` runs from the profile's creation to this call.
+        The disjoint rows — ``advance_seconds``, every
+        ``handler_<kind>_seconds`` and ``unattributed_seconds`` (set-up
+        and everything outside the event loop) — sum to it.  The phase
+        rows ``gpr_refit_seconds``, ``evo_*_seconds`` and
+        ``rescore_*_seconds`` are *nested* inside the handler rows (the
+        scheduler callbacks run inside handlers), so adding them as well
+        counts that time twice.  Event counts are floats for JSON
+        uniformity, not seconds.  Event kinds serialise as their
+        lower-case names (``handler_timer_seconds``,
+        ``events_node_down``), never enum reprs, so keys stay stable
+        across enum reordering.
         """
-        total = (
-            self._total_seconds
-            if self._total_seconds is not None
-            else perf_counter() - self._started
-        )
+        total = perf_counter() - self._started
+        handled = sum(hist.total for hist in self.handlers.values())
         payload: Dict[str, float] = {
             "total_seconds": total,
             "advance_seconds": self.advance_seconds,
         }
-        for kind, seconds in sorted(self.handler_seconds.items()):
-            payload[f"handler_{kind.name.lower()}_seconds"] = seconds
-        for kind, count in sorted(self.event_counts.items()):
-            payload[f"events_{kind.name.lower()}"] = float(count)
-        for phase, seconds in sorted(self.extra_seconds.items()):
-            key = f"{phase}_seconds"
-            if key in payload:
-                # Never let a scheduler-reported phase name clobber a
-                # kernel-recorded key (e.g. a phase called "advance").
-                key = f"scheduler_{key}"
-            payload[key] = seconds
+        for kind, hist in sorted(self.handlers.items()):
+            payload[f"handler_{kind.name.lower()}_seconds"] = hist.total
+        for kind, hist in sorted(self.handlers.items()):
+            payload[f"events_{kind.name.lower()}"] = float(hist.count)
+        for phase, seconds in sorted(self.phases.items()):
+            payload[f"{phase}_seconds"] = seconds
+        payload["unattributed_seconds"] = total - self.advance_seconds - handled
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, float]) -> "SimProfile":
-        """Rebuild a profile from :meth:`as_dict` output.
 
-        ``handler_*``/``events_*`` keys naming a known
-        :class:`EventKind` round-trip back into the enum-keyed tables;
-        scheduler phase keys land back in ``extra_seconds``.  For any
-        profile recorded by this build,
-        ``SimProfile.from_dict(p.as_dict()).as_dict() == p.as_dict()``.
-        """
-        profile = cls()
-        profile._total_seconds = float(payload.get("total_seconds", 0.0))
-        profile.advance_seconds = float(payload.get("advance_seconds", 0.0))
-        known = {kind.name.lower(): kind for kind in EventKind}
-        for key, value in payload.items():
-            if key in ("total_seconds", "advance_seconds"):
-                continue
-            if key.startswith("handler_") and key.endswith("_seconds"):
-                kind = known.get(key[len("handler_") : -len("_seconds")])
-                if kind is not None:
-                    profile.handler_seconds[kind] = float(value)
-                    continue
-            if key.startswith("events_"):
-                kind = known.get(key[len("events_") :])
-                if kind is not None:
-                    profile.event_counts[kind] = int(value)
-                    continue
-            name = key[: -len("_seconds")] if key.endswith("_seconds") else key
-            profile.extra_seconds[name] = float(value)
-        return profile
+# -- the active profile -----------------------------------------------
+
+_ACTIVE: Optional[SimProfile] = None
+
+
+def activate(profile: Optional[SimProfile]) -> Optional[SimProfile]:
+    """Make ``profile`` the active one (``None`` for none); return the previous."""
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, profile
+    return previous
+
+
+def active_profile() -> Optional[SimProfile]:
+    """The profile that :func:`charge` currently adds to (``None`` when off)."""
+    return _ACTIVE
+
+
+def mark() -> float:
+    """A start mark for :func:`charge`: the clock when profiling, else 0."""
+    return perf_counter() if _ACTIVE is not None else 0.0
+
+
+def charge(phase: str, start: float) -> float:
+    """Add ``perf_counter() - start`` to ``phase`` of the active profile.
+
+    Returns the mark for the next phase, so consecutive phases chain:
+    ``m = mark(); ...; m = charge("a", m); ...; charge("b", m)``.
+    Without an active profile this neither reads the clock nor records.
+    """
+    profile = _ACTIVE
+    if profile is None:
+        return 0.0
+    now = perf_counter()
+    phases = profile.phases
+    phases[phase] = phases.get(phase, 0.0) + (now - start)
+    return now

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.allocation import Allocation
-from repro.cluster.events import Event, EventKind, EventQueue
+from repro.cluster.events import Event, EventKind
 from repro.cluster.topology import ClusterTopology
 from repro.faults.config import FaultConfig
 from repro.faults.costs import FaultCostModel
@@ -92,7 +92,8 @@ class SimulationConfig:
         make at least this many samples/second or the simulator raises.
     collect_profile:
         Record per-phase wall-clock (ledger advance, per-event-kind
-        handler time, scheduler-reported phases such as GPR refits) into
+        handler time, and the GPR-refit and evolution phases nested in
+        the handlers; see :mod:`repro.sim.profiling`) into
         ``SimulationResult.profile``.  Off by default: wall-clock is
         host-specific, so profiled artifacts are not reproducible across
         machines.
@@ -177,7 +178,9 @@ class SimulationResult:
     #: Flat profiling table, populated only when the run was configured
     #: with ``collect_profile=True``.  ``*_seconds`` keys are per-phase
     #: wall-clock; ``events_<kind>`` keys are per-event-kind counts
-    #: (floats for JSON uniformity) — do not sum the dict as seconds.
+    #: (floats for JSON uniformity) — do not sum the dict as seconds
+    #: (:meth:`~repro.sim.profiling.SimProfile.as_dict` names the rows
+    #: that add up to ``total_seconds``).
     profile: Dict[str, float] = field(default_factory=dict, repr=False)
     #: Recovery metrics of a faulted run (evictions, restarts, lost
     #: GPU-seconds, downtime, goodput — see
@@ -383,15 +386,6 @@ class ClusterSimulator:
         """Current simulation time (the kernel's clock)."""
         return self.kernel.now
 
-    @property
-    def _events(self) -> EventQueue:
-        """The kernel's event queue (kept under the historical name)."""
-        return self.kernel.events
-
-    @property
-    def _events_processed(self) -> int:
-        return self.kernel.events_processed
-
     # -- public API ---------------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
@@ -542,9 +536,6 @@ class ClusterSimulator:
 
     def _handle_epoch_end(self, event: Event) -> None:
         self.handlers[EventKind.EPOCH_END].handle(event)
-
-    def _handle_timer(self, event: Event) -> None:
-        self.handlers[EventKind.TIMER].handle(event)
 
     def _complete_job(self, job: Job) -> None:
         job.mark_completed(self.now)
@@ -703,13 +694,7 @@ class ClusterSimulator:
             fault_metrics = self.faults.metrics(
                 gpu_time_busy=self._busy_gpu_time, gpu_time_total=gpu_time_total
             )
-        profile: Dict[str, float] = {}
-        if self.profile is not None:
-            reporter = getattr(self.scheduler, "profile_phases", None)
-            if callable(reporter):
-                for phase, seconds in reporter().items():
-                    self.profile.record(str(phase), float(seconds))
-            profile = self.profile.as_dict()
+        profile = self.profile.as_dict() if self.profile is not None else {}
         return SimulationResult(
             scheduler_name=self.scheduler.name,
             num_gpus=self.topology.num_gpus,

@@ -143,7 +143,7 @@ def scalar_generation(genomes, ctx, config):
     return matrix, scores, len(pool)
 
 
-def _scalar_run_generation(genomes, ctx, config, engine=None, phases=None):
+def _scalar_run_generation(genomes, ctx, config, engine=None):
     """:func:`run_generation` computed by the scalar operators."""
     matrix, scores, pool = scalar_generation(genomes, ctx, config)
     return GenerationResult(

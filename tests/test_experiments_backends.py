@@ -19,7 +19,7 @@ from repro.experiments.backends import (
     make_backend,
     simulate_run,
 )
-from repro.experiments.orchestrator import Runner, run_experiment
+from repro.experiments.orchestrator import Runner
 from repro.experiments.spec import ExperimentSpec, RunSpec
 from repro.sim.simulator import SimulationConfig
 from repro.workload.trace import TraceConfig, TraceGenerator
@@ -117,7 +117,7 @@ class TestBackendParity:
 class TestSweepArtifact:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_experiment(tiny_grid())
+        return Runner().run(tiny_grid())
 
     def test_grid_order_and_lookup(self, sweep):
         assert [run.spec.label() for run in sweep] == [
@@ -157,7 +157,7 @@ class TestSweepArtifact:
     def test_every_scheduler_in_a_comparison_sees_the_same_trace(self):
         spec = tiny_grid(schedulers=("ONES", "FIFO", "Tiresias"), seeds=(7,))
         trace = TraceGenerator(TINY_TRACE, seed=7).generate()
-        results = run_experiment(spec).results_for(8)
+        results = Runner().run(spec).results_for(8)
         assert list(results) == ["ONES", "FIFO", "Tiresias"]
         for result in results.values():
             assert set(result.completed) == {job.job_id for job in trace}
@@ -259,10 +259,10 @@ class TestRunnerCaching:
 
     def test_parallel_runner_with_cache_matches_serial(self, tmp_path):
         spec = tiny_grid(seeds=(7,))
-        serial = run_experiment(spec)
-        parallel = run_experiment(
-            spec, backend="process", workers=2, cache_dir=tmp_path / "cells"
-        )
+        serial = Runner().run(spec)
+        parallel = Runner(
+            backend="process", workers=2, cache_dir=tmp_path / "cells"
+        ).run(spec)
         assert serial.runs == parallel.runs
         # A serial resume over the pool-written cache reuses everything.
         resumed_runner = Runner(backend="serial", cache_dir=tmp_path / "cells")

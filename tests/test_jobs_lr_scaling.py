@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.jobs.lr_scaling import (
-    linear_scaled_lr,
-    sqrt_scaled_lr,
-    warmup_factor,
-)
+from repro.jobs.lr_scaling import linear_scaled_lr, warmup_factor
 
 
 class TestLinearScaling:
@@ -24,11 +20,6 @@ class TestLinearScaling:
             linear_scaled_lr(0.0, 256, 512)
         with pytest.raises(ValueError):
             linear_scaled_lr(0.1, 0, 512)
-
-
-class TestSqrtScaling:
-    def test_quadrupling_batch_doubles_lr(self):
-        assert sqrt_scaled_lr(0.1, 256, 1024) == pytest.approx(0.2)
 
 
 class TestWarmup:

@@ -10,7 +10,8 @@ The determinism contract has two halves, both pinned here:
 
 Plus the content checks from the acceptance list — a hierarchical run
 emits reconfig decisions, per-shard generations, and reconciler
-assignments — and the ``SimProfile`` stable-key round-trip.
+assignments — and the ``SimProfile`` keys, row sums and per-shard
+charging.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from repro.core.evolution import EvolutionConfig
 from repro.core.ones_scheduler import ONESConfig, ONESScheduler
 from repro.core.partitioned import HierarchicalConfig, HierarchicalONESScheduler
 from repro.faults import FaultConfig, FaultInjection, FaultKind
+from repro.experiments.registry import create_scheduler
 from repro.obs.trace import TraceRecorder, install_tracer, uninstall_tracer
-from repro.sim.profiling import SimProfile
-from repro.sim.simulator import ClusterSimulator, SimulationConfig
+from repro.sim.profiling import SimProfile, activate, charge, mark
+from repro.sim.simulator import ClusterSimulator, SimulationConfig, SimulationResult
 from repro.workload.trace import TraceConfig, TraceGenerator
 
 warnings.filterwarnings("ignore", message="Covariance of the parameters")
@@ -177,7 +179,7 @@ class TestTraceContent:
 
 
 class TestSimProfileRoundTrip:
-    """Satellite: stable string keys for handler_seconds, and from_dict."""
+    """Stable string keys, and the profile's route into the result."""
 
     def test_profile_keys_are_stable_strings(self):
         profile = _run(_ones(), faults=_faults(), collect_profile=True).profile
@@ -188,24 +190,59 @@ class TestSimProfileRoundTrip:
         assert "handler_job_arrival_seconds" in profile
         assert "events_node_down" in profile
 
-    def test_round_trip_through_as_dict(self):
-        profile = _run(_ones(), collect_profile=True).profile
-        restored = SimProfile.from_dict(profile)
-        assert restored.as_dict() == profile
+    def test_profile_round_trips_through_result_json(self):
+        result = _run(_ones(), collect_profile=True)
+        assert "gpr_refit_seconds" in result.profile
+        clone = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert clone.profile == result.profile
 
-    def test_round_trip_preserves_scheduler_phases(self):
+    def test_charged_phases_land_in_as_dict(self):
         profile = SimProfile()
-        profile.record("gpr_refit", 1.5)
-        profile.record("evo_mutation", 0.25)
-        profile._total_seconds = 10.0
+        previous = activate(profile)
+        try:
+            start = charge("gpr_refit", mark())
+            charge("evo_mutation", start)
+        finally:
+            activate(previous)
+        charge("evo_mutation", mark())  # no active profile: not recorded
         payload = profile.as_dict()
-        assert payload["gpr_refit_seconds"] == 1.5
-        assert SimProfile.from_dict(payload).as_dict() == payload
+        assert payload["gpr_refit_seconds"] >= 0.0
+        assert set(profile.phases) == {"gpr_refit", "evo_mutation"}
 
-    def test_round_trip_survives_reserved_phase_names(self):
-        profile = SimProfile()
-        profile.record("advance", 0.5)  # would clobber advance_seconds
-        profile._total_seconds = 1.0
-        payload = profile.as_dict()
-        assert payload["scheduler_advance_seconds"] == 0.5
-        assert SimProfile.from_dict(payload).as_dict() == payload
+    def test_disjoint_rows_sum_to_total(self):
+        payload = _run(_hier(), faults=_faults(), collect_profile=True).profile
+        disjoint = payload["advance_seconds"] + payload["unattributed_seconds"] + sum(
+            value for key, value in payload.items() if key.startswith("handler_")
+        )
+        assert disjoint == pytest.approx(payload["total_seconds"], rel=1e-9)
+        assert payload["unattributed_seconds"] >= 0.0
+        # The nested phases fit inside the handler rows that contain them.
+        handled = sum(v for k, v in payload.items() if k.startswith("handler_"))
+        nested = sum(
+            v for k, v in payload.items()
+            if k.startswith(("gpr_refit", "evo_", "rescore_"))
+        )
+        assert nested <= handled
+
+
+class TestPartitionedProfile:
+    def test_every_shard_charges_the_run_profile(self):
+        # Each partition's inner ONES instance has its own predictor and
+        # search; all of them charge the one profile of the run.
+        trace = TraceGenerator(
+            TraceConfig(num_jobs=12, arrival_rate=1.0 / 10.0, convergence_patience=3),
+            seed=SEED,
+        ).generate()
+        scheduler = create_scheduler("ONES-hier", SEED, partition_size=32)
+        result = ClusterSimulator(
+            make_longhorn_cluster(64),
+            scheduler,
+            trace,
+            config=SimulationConfig(collect_profile=True),
+        ).run()
+        assert scheduler.describe_state()["partitions"] == 2
+        profile = result.profile
+        for phase in (
+            "gpr_refit", "evo_fill", "evo_crossover", "evo_mutation", "evo_selection"
+        ):
+            assert profile[f"{phase}_seconds"] > 0.0, phase

@@ -5,6 +5,7 @@ import pytest
 
 from repro.prediction.beta import BetaDistribution
 from repro.prediction.predictor import PredictorConfig, ProgressPredictor
+from repro.sim.profiling import SimProfile, activate
 from tests.conftest import make_running_job
 
 
@@ -123,9 +124,16 @@ class TestOnlineFitting:
 
     def test_refit_timers_accumulate(self):
         predictor = ProgressPredictor(seed=0)
-        for job in _job_stream(6):
-            predictor.observe_completion(job)
-        assert predictor.refit_seconds > 0.0
+        profile = SimProfile()
+        previous = activate(profile)
+        try:
+            for job in _job_stream(6):
+                predictor.observe_completion(job)
+        finally:
+            activate(previous)
+        assert predictor.fit_count == 5
+        assert set(profile.phases) == {"gpr_refit"}
+        assert profile.phases["gpr_refit"] > 0.0
 
 
 class TestPredictionCurve:

@@ -168,6 +168,20 @@ class TestTelemetry:
         assert metrics["submissions_per_second"] > 0.0
         assert "JOB_ARRIVAL" in metrics["step_latency_by_kind"]
 
+    def test_step_histograms_count_every_processed_event(self):
+        service = make_service()
+        for tenant, at in (("alice", None), ("alice", 30.0), ("bob", 60.0)):
+            service.submit(JobSubmission(tenant=tenant, arrival_time=at))
+        service.drain()
+        by_kind = service.metrics()["step_latency_by_kind"]
+        assert {"JOB_ARRIVAL", "EPOCH_END"} <= set(by_kind)
+        counted = sum(int(row["count"]) for row in by_kind.values())
+        assert counted == service.sim.kernel.events_processed
+        # The registry renders the same histograms under the kind label.
+        text = service.metrics_registry().render_text()
+        epoch_ends = int(by_kind["EPOCH_END"]["count"])
+        assert f'service_step_latency_seconds_count{{kind="EPOCH_END"}} {epoch_ends}' in text
+
     def test_completion_stream_after_drain(self):
         service = make_service()
         service.submit(JobSubmission(tenant="alice"))

@@ -15,7 +15,7 @@ from repro.cluster.events import Event, EventKind
 from repro.jobs.job import Job
 from repro.sim.kernel import EventHandler, SimulationKernel
 from repro.sim.ledger import ProgressLedger
-from repro.sim.profiling import SimProfile
+from repro.sim.profiling import SimProfile, activate, active_profile, charge, mark
 from repro.sim.simulator import ClusterSimulator, SimulationConfig
 from tests.conftest import make_spec
 
@@ -95,6 +95,70 @@ class TestKernelGuards:
         assert payload["events_timer"] == 1.0
         assert payload["handler_timer_seconds"] >= 0.0
         assert payload["advance_seconds"] >= 0.0
+
+
+class _ProbeHandler(EventHandler):
+    """Charges a ``probe`` phase, then runs an optional callback."""
+
+    kind = EventKind.TIMER
+
+    def __init__(self, then=None) -> None:
+        self.then = then
+        self.seen = []
+
+    def handle(self, event: Event) -> None:
+        self.seen.append(active_profile())
+        charge("probe", mark())
+        if self.then is not None:
+            self.then()
+
+
+def _probe_kernel(profile, then=None):
+    handler = _ProbeHandler(then)
+    kernel = _kernel(handlers={EventKind.TIMER: handler}, profile=profile)
+    kernel.push(Event(time=1.0, kind=EventKind.TIMER))
+    return kernel, handler
+
+
+class TestActiveProfile:
+    def test_nested_runs_charge_their_own_profile(self):
+        outer_profile, inner_profile = SimProfile(), SimProfile()
+        checks = {}
+
+        def nested():
+            inner, _ = _probe_kernel(inner_profile)
+            inner.run()
+            checks["after_inner"] = active_profile()
+            plain, plain_handler = _probe_kernel(None)
+            plain.step()
+            checks["inside_plain"] = plain_handler.seen
+            checks["after_plain"] = active_profile()
+
+        outer, outer_handler = _probe_kernel(outer_profile, then=nested)
+        outer.run()
+        assert outer_handler.seen == [outer_profile]
+        assert checks["after_inner"] is outer_profile
+        assert checks["inside_plain"] == [None]
+        assert checks["after_plain"] is outer_profile
+        assert active_profile() is None
+        # One probe each for the profiled runs; the unprofiled run
+        # charged nothing anywhere.
+        assert set(inner_profile.phases) == {"probe"}
+        assert set(outer_profile.phases) == {"probe"}
+        assert outer_profile.handlers[EventKind.TIMER].count == 1
+        assert inner_profile.handlers[EventKind.TIMER].count == 1
+
+    def test_a_failing_handler_restores_the_previous_profile(self):
+        outer = SimProfile()
+        previous = activate(outer)
+        try:
+            for drive in ("run", "step"):
+                kernel, _ = _probe_kernel(SimProfile(), then=lambda: 1 / 0)
+                with pytest.raises(ZeroDivisionError):
+                    getattr(kernel, drive)()
+                assert active_profile() is outer
+        finally:
+            activate(previous)
 
 
 class TestStaleEpochEnds:
