@@ -40,6 +40,12 @@ Quickstart
 ...  for name, result in sweep.results_for(16).items()}
 """
 
+# First, before any import loads numpy: one BLAS thread unless the user
+# set a thread count (see repro._blas).
+from repro._blas import default_one_thread as _default_one_thread
+
+_default_one_thread()
+
 __version__ = "1.0.0"
 
 from repro.cluster.topology import ClusterTopology, make_longhorn_cluster

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.metrics import paired_jobs
 from repro.sim.simulator import SimulationResult
@@ -72,6 +71,8 @@ def wilcoxon_comparison(
             p_one_sided_greater=0.5,
             median_difference=0.0,
         )
+    from scipy import stats  # lazy: only the Table-4 test needs it
+
     two_sided = stats.wilcoxon(a, b, alternative="two-sided", zero_method="wilcox")
     less = stats.wilcoxon(a, b, alternative="less", zero_method="wilcox")
     greater = stats.wilcoxon(a, b, alternative="greater", zero_method="wilcox")

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.baselines.base import (
     ClusterState,
@@ -54,6 +53,8 @@ def fit_loss_curve(epochs: np.ndarray, losses: np.ndarray) -> Optional[Tuple[flo
 
     def model(k, a, b, c):
         return 1.0 / (a * k + b) + c
+
+    from scipy import optimize  # lazy, like gpr.py: only a fit needs it
 
     try:
         initial = (0.1, 1.0 / max(losses[0], 1e-6), max(losses[-1] * 0.5, 1e-3))

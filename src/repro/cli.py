@@ -68,6 +68,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro._blas import blas_threads
 from repro.analysis.export import (
     export_comparison_csv,
     export_comparison_json,
@@ -722,6 +723,8 @@ def cmd_run(args) -> int:
     print(format_table([{"metric": k, "value": v} for k, v in summary.items()]))
     if args.profile and result.profile:
         print()
+        threads = ", ".join(f"{pkg} {n}" for pkg, n in sorted(blas_threads().items()))
+        print(f"BLAS threads per OpenBLAS copy: {threads or 'none loaded'}")
         print("Profile (wall-clock seconds per phase; events_* are counts):")
         print(format_table([
             {"phase": key, "value": f"{value:.6f}"}

@@ -6,7 +6,7 @@ nodes.  This subpackage provides the simulated equivalent:
 
 * :mod:`repro.cluster.devices` — GPU and node hardware descriptions.
 * :mod:`repro.cluster.topology` — the cluster as a collection of nodes
-  and GPUs with intra-/inter-node bandwidths (backed by a networkx graph).
+  and GPUs with intra-/inter-node bandwidths (a star around one switch).
 * :mod:`repro.cluster.allocation` — a concrete assignment of GPU workers
   (with local batch sizes) to jobs.
 * :mod:`repro.cluster.placement` — locality/fragmentation measures.

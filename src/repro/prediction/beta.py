@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import SeedLike, as_generator
 
@@ -76,6 +75,10 @@ class BetaDistribution:
 
     def quantile(self, q: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Inverse CDF at probability ``q``."""
+        # scipy.stats costs ~0.5 s to import and no simulation calls the
+        # densities or quantiles, so it is imported where it is used.
+        from scipy import stats
+
         result = stats.beta.ppf(q, self.alpha, self.beta)
         if np.isscalar(q):
             return float(result)
@@ -105,6 +108,8 @@ class BetaDistribution:
 
     def logpdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Log density at ``x``."""
+        from scipy import stats
+
         result = stats.beta.logpdf(x, self.alpha, self.beta)
         if np.isscalar(x):
             return float(result)
@@ -112,6 +117,8 @@ class BetaDistribution:
 
     def pdf(self, x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
         """Density at ``x``."""
+        from scipy import stats
+
         result = stats.beta.pdf(x, self.alpha, self.beta)
         if np.isscalar(x):
             return float(result)

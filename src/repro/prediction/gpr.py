@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.utils.validation import check_positive, check_positive_int
 
@@ -101,18 +100,19 @@ class GaussianProcessRegression:
     # -- marginal likelihood --------------------------------------------------------------
 
     def _nll_terms(
-        self, log_params: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Shared NLL prefix: ``(nll, L, alpha, sq_dists, K_rbf)``.
+        self, log_params: np.ndarray, sq_dists: np.ndarray, y: np.ndarray
+    ) -> Optional[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+        """Shared NLL prefix: ``(nll, L, alpha, K_rbf)``.
 
         Single implementation of the kernel build, Cholesky and alpha
         solve, so :meth:`_nll_value` is *structurally* the value
         :meth:`_nll_and_grad` computes rather than a hand-kept copy.
-        Returns ``None`` when the kernel is not positive definite.
+        ``sq_dists`` is ``squared_distances(X, X)`` of the training
+        inputs, which :meth:`fit` computes once for the whole optimiser
+        run.  Returns ``None`` when the kernel is not positive definite.
         """
         signal, length, noise = np.exp(log_params)
-        n = X.shape[0]
-        sq_dists = squared_distances(X, X)
+        n = sq_dists.shape[0]
         K_rbf = rbf_from_sq_dists(sq_dists, signal, length)
         K = K_rbf + (noise + self.jitter) * np.eye(n)
         try:
@@ -125,26 +125,26 @@ class GaussianProcessRegression:
             + float(np.sum(np.log(np.diag(L))))
             + 0.5 * n * np.log(2.0 * np.pi)
         )
-        return float(nll), L, alpha, sq_dists, K_rbf
+        return float(nll), L, alpha, K_rbf
 
     def _nll_and_grad(
-        self, log_params: np.ndarray, X: np.ndarray, y: np.ndarray
+        self, log_params: np.ndarray, sq_dists: np.ndarray, y: np.ndarray
     ) -> Tuple[float, np.ndarray]:
         """Negative log marginal likelihood and its gradient in log-space.
 
-        The squared distances are computed once and reused for both the
-        kernel and the length-scale gradient.  (They used to be recovered
-        from the kernel itself via ``log(K_rbf / signal)`` clamped at
-        1e-300, which silently zeroed — i.e. got *wrong* — the gradient
-        contribution of point pairs distant enough for the kernel to
-        underflow.)
+        The squared distances of the training inputs are passed in and
+        reused for both the kernel and the length-scale gradient.  (They
+        used to be recovered from the kernel itself via
+        ``log(K_rbf / signal)`` clamped at 1e-300, which silently zeroed
+        — i.e. got *wrong* — the gradient contribution of point pairs
+        distant enough for the kernel to underflow.)
         """
-        terms = self._nll_terms(log_params, X, y)
+        terms = self._nll_terms(log_params, sq_dists, y)
         if terms is None:
             return 1e25, np.zeros(3)
-        nll, L, alpha, sq_dists, K_rbf = terms
+        nll, L, alpha, K_rbf = terms
         _, length, noise = np.exp(log_params)
-        n = X.shape[0]
+        n = sq_dists.shape[0]
         # Gradients: dNLL/dθ = -0.5 tr((αα^T - K^{-1}) dK/dθ)
         K_inv = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(n)))
         outer = np.outer(alpha, alpha) - K_inv
@@ -160,14 +160,16 @@ class GaussianProcessRegression:
         )
         return nll, grad
 
-    def _nll_value(self, log_params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    def _nll_value(
+        self, log_params: np.ndarray, sq_dists: np.ndarray, y: np.ndarray
+    ) -> float:
         """Negative log marginal likelihood only (no O(n³) gradient terms).
 
         Exactly the value :meth:`_nll_and_grad` returns (same code path)
         minus the ``K⁻¹`` computation the gradient needs, which is the
         single most expensive part of an evaluation.
         """
-        terms = self._nll_terms(log_params, X, y)
+        terms = self._nll_terms(log_params, sq_dists, y)
         return 1e25 if terms is None else terms[0]
 
     # -- fitting --------------------------------------------------------------------------
@@ -208,13 +210,18 @@ class GaussianProcessRegression:
         else:
             self._y_mean, self._y_scale = 0.0, 1.0
         y_std = (y - self._y_mean) / self._y_scale
+        sq_dists = squared_distances(X, X)
 
         if self.optimize_hyperparameters and X.shape[0] >= 3:
+            # scipy.optimize is half of ``import repro``'s time and only
+            # fits use it, so runs and commands without a fit never load it.
+            from scipy import optimize
+
             x0 = np.log([self.signal_variance, self.length_scale, self.noise_variance])
             result = optimize.minimize(
                 self._nll_and_grad,
                 x0,
-                args=(X, y_std),
+                args=(sq_dists, y_std),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=[(-6.0, 6.0)] * 3,
@@ -225,7 +232,7 @@ class GaussianProcessRegression:
                     float(v) for v in np.exp(result.x)
                 ]
         n = X.shape[0]
-        K = rbf_kernel(X, X, self.signal_variance, self.length_scale)
+        K = rbf_from_sq_dists(sq_dists, self.signal_variance, self.length_scale)
         K += (self.noise_variance + self.jitter) * np.eye(n)
         self._chol = np.linalg.cholesky(K)
         self._alpha = np.linalg.solve(
@@ -234,7 +241,7 @@ class GaussianProcessRegression:
         self.X_train_, self.y_train_ = X, y_std
         self.log_marginal_likelihood_ = -self._nll_value(
             np.log([self.signal_variance, self.length_scale, self.noise_variance]),
-            X,
+            sq_dists,
             y_std,
         )
         return self

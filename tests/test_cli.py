@@ -54,6 +54,17 @@ class TestRunCommand:
         assert code == 0
         assert "completed_jobs" in capsys.readouterr().out
 
+    def test_run_profile_prints_blas_threads_above_the_table(self, capsys):
+        code = main([
+            "run", "--scheduler", "ones", "--gpus", "8", "--jobs", "3",
+            "--arrival-interval", "10", "--seed", "4", "--profile",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        threads_at = out.index("BLAS threads per OpenBLAS copy:")
+        assert threads_at < out.index("Profile (wall-clock seconds per phase")
+        assert "gpr_refit_seconds" in out
+
 
 class TestCompareCommand:
     def test_compare_serial_with_exports(self, tmp_path, capsys):

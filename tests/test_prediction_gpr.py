@@ -107,13 +107,14 @@ class TestNLLGradient:
         model = GaussianProcessRegression()
         log_params = np.log([1.5, 1.2, 0.3])
         assert (rbf_kernel(X[:6], X[6:], 1.5, 1.2) == 0.0).all()  # underflow
-        _, grad = model._nll_and_grad(log_params, X, y)
+        sq_dists = squared_distances(X, X)
+        _, grad = model._nll_and_grad(log_params, sq_dists, y)
         eps = 1e-6
         for i in range(3):
             bump = np.zeros(3)
             bump[i] = eps
-            hi = model._nll_value(log_params + bump, X, y)
-            lo = model._nll_value(log_params - bump, X, y)
+            hi = model._nll_value(log_params + bump, sq_dists, y)
+            lo = model._nll_value(log_params - bump, sq_dists, y)
             numeric = (hi - lo) / (2 * eps)
             assert grad[i] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
 
@@ -121,8 +122,9 @@ class TestNLLGradient:
         X, y = smooth_data
         model = GaussianProcessRegression()
         log_params = np.log([1.0, 1.0, 0.1])
-        assert model._nll_value(log_params, X, y) == model._nll_and_grad(
-            log_params, X, y
+        sq_dists = squared_distances(X, X)
+        assert model._nll_value(log_params, sq_dists, y) == model._nll_and_grad(
+            log_params, sq_dists, y
         )[0]
 
     def test_squared_distances_are_exact(self):
